@@ -355,6 +355,9 @@ class GPUscout:
                     compiled, config, args, textures, max_blocks, budget,
                     note, program, trace=trace, prof=prof,
                 )
+                if launch is not None:
+                    for name, value in launch.trace_cost.items():
+                        prof.count(name, value)
 
         sampling = None
         line_profiles: dict[int, LineStallProfile] = {}

@@ -230,6 +230,12 @@ def render_profile(report) -> list[str]:
         lines.append(
             f"  {span.name:<24s} {span.elapsed_s*1e3:8.2f} ms {pct:5.1f} %"
         )
+    launch = next((s for s in prof.spans if s.name == "launch"), None)
+    if launch is not None and launch.counters:
+        # what the launch spent on effect traces (build, cache put, hits)
+        lines.append("[prof] launch: " + " | ".join(
+            f"{k} {v*1e3:.2f} ms" if isinstance(v, float) else f"{k} {v}"
+            for k, v in launch.counters.items()))
     heatmap = getattr(report, "heatmap", None)
     if heatmap is not None and heatmap.lines:
         lines.append("[prof] hottest source lines (simulated stall cycles)")

@@ -141,6 +141,11 @@ class LaunchResult:
     #: (pointers resolve to device offsets) — lets static predictors
     #: rebuild the launch environment
     param_values: dict[int, int] = field(default_factory=dict)
+    #: what the timed phase spent on effect traces: host seconds in
+    #: ``trace_build_s`` / ``trace_put_s``, waves answered by the cache
+    #: (``trace_hits``) or built (``trace_misses``), and the payload
+    #: ``trace_bytes`` of every trace replayed (shown by ``--profile``)
+    trace_cost: dict = field(default_factory=dict)
 
     @property
     def functional_inst_per_sec(self) -> float:
@@ -313,6 +318,8 @@ class Simulator:
         # plain TraceRecorder has no note_wave)
         note_wave = getattr(trace, "note_wave", None)
         capture = trace if note_wave is not None else None
+        cost = {"trace_build_s": 0.0, "trace_put_s": 0.0, "trace_hits": 0,
+                "trace_misses": 0, "trace_bytes": 0}
         t0 = time.perf_counter()
         for i in range(0, len(timed_blocks), resident):
             wave = timed_blocks[i : i + resident]
@@ -329,6 +336,8 @@ class Simulator:
                     for addrs, vals in ent.trace.post_writes:
                         mem.write_u32(addrs, vals)
                     counters.warps_launched += ent.n_warps
+                    cost["trace_hits"] += 1
+                    cost["trace_bytes"] += ent.nbytes
                     if capture is not None:
                         capture.note_wave(
                             "trace", ent.n_warps,
@@ -346,13 +355,19 @@ class Simulator:
                 warps.extend(block_warps)
             counters.warps_launched += len(warps)
             if use_trace:
+                t_build = time.perf_counter()
                 ttrace = build_timed_trace(
                     executor, warps, compiled.program.shared_bytes,
                     capture=capture,
                 )
+                t_built = time.perf_counter()
+                cost["trace_build_s"] += t_built - t_build
                 if ttrace is not None:
+                    cost["trace_misses"] += 1
+                    cost["trace_bytes"] += ttrace.nbytes
                     if cache is not None:
                         cache.put(wkey, ttrace, warp_counts, compiled)
+                        cost["trace_put_s"] += time.perf_counter() - t_built
                     scheduler.run_wave_trace(ttrace, warp_counts)
                     continue
                 # dissolved (divergent wave) or build error: device
@@ -424,6 +439,7 @@ class Simulator:
             timed_fast_path=timed_fast_path,
             timed_instructions=timed_instructions,
             param_values=dict(param_values),
+            trace_cost=cost,
         )
 
     # ------------------------------------------------------------------

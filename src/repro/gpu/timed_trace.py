@@ -244,6 +244,49 @@ def _pack_unique_counts(addrs: np.ndarray,
 # the trace
 # ---------------------------------------------------------------------------
 
+#: sizing constants of :func:`_payload_bytes`: one list slot plus the
+#: boxed int behind it, and one ``dyn`` row (payload tuple + dict slot)
+_ELEM_BYTES = 40
+_ROW_BYTES = 128
+
+
+def _column_bytes(col) -> int:
+    """Bytes held by one distinct payload column.  The emitter makes
+    four shapes: an ndarray, a flat int list (``offs``, ``pool``, ``tx``,
+    ``uniq``, ``serial``), a line-group column (per warp slot a tuple of
+    5-int groups) and a deferred-commit ``(op, per_warp)`` pair."""
+    n = getattr(col, "nbytes", None)
+    if n is not None:
+        return n
+    if type(col) is tuple:
+        per_warp = col[1]
+        return _ELEM_BYTES * len(per_warp) + sum(
+            a.nbytes + v.nbytes for a, v in filter(None, per_warp))
+    size = _ELEM_BYTES * len(col)
+    if col and type(col[0]) is tuple:
+        size += 6 * _ELEM_BYTES * sum(map(len, col))
+    return size
+
+
+def _payload_bytes(trace: "TimedTrace") -> int:
+    """What a trace keeps alive, in O(rows + distinct columns): every
+    row of a group references the *same* column objects, so columns
+    count once (by identity) and each row adds :data:`_ROW_BYTES`."""
+    size = _ELEM_BYTES * (len(trace.pcs) + len(trace.block_ids)
+                          + 2 * sum(map(len, trace.seg_starts)))
+    seen: set[int] = set()
+    for payload in trace.dyn.values():
+        size += _ROW_BYTES
+        for col in payload:
+            if col is None or type(col) is int or id(col) in seen:
+                continue
+            seen.add(id(col))
+            size += _column_bytes(col)
+    for addrs, vals in trace.post_writes or ():
+        size += addrs.nbytes + vals.nbytes
+    return size
+
+
 class TimedTrace:
     """One wave's effect trace (structure-of-arrays).
 
@@ -260,10 +303,15 @@ class TimedTrace:
     cache can reproduce the functional effect of the build without
     re-running it (deferred float atomics are *not* included — they
     commit during replay).
+
+    ``nbytes`` is the payload size the trace cache's byte cap charges
+    (:func:`_payload_bytes`), fixed at construction; it travels with
+    the pickle, and the lazily built ``plan`` is not part of it.
     """
 
     __slots__ = ("pcs", "seg_starts", "seg_ends", "dyn", "n_warps",
-                 "nregs", "block_ids", "post_writes", "plan", "plan_sig")
+                 "nregs", "block_ids", "post_writes", "nbytes", "plan",
+                 "plan_sig")
 
     def __init__(self, pcs: list, seg_starts: list, seg_ends: list,
                  dyn: dict, n_warps: int, nregs: int, block_ids: list,
@@ -276,6 +324,7 @@ class TimedTrace:
         self.nregs = nregs
         self.block_ids = block_ids
         self.post_writes = post_writes
+        self.nbytes = _payload_bytes(self)
         #: per-row issue-plan tuples, filled lazily by the consumer
         #: (:meth:`SMScheduler.run_wave_trace`) on first replay and
         #: reused by every later replay of this trace; ``plan_sig``
@@ -391,6 +440,8 @@ class TraceEmitter:
                 np.concatenate([it[2] for it in items], axis=0))
 
     def finish(self, warps: list[WarpState]) -> TimedTrace:
+        """Pack the pending groups and seal the trace, ``post_writes``
+        (the post-build image of every logged device word) included."""
         n = self.n_warps
         n_rows = len(self.pcs)
         spec = self.spec
@@ -440,6 +491,8 @@ class TraceEmitter:
             n_warps=len(warps),
             nregs=warps[0].regs.shape[0] if warps else 0,
             block_ids=[w.block_id for w in warps],
+            post_writes=[(addrs, self.memory.read_u32(addrs))
+                         for addrs, _ in self.undo],
         )
 
 
@@ -566,9 +619,6 @@ def build_timed_trace(executor: Executor, warps: list[WarpState],
                               detail="divergent wave; legacy replay")
         return None
     trace = emitter.finish(warps)
-    memory = executor.memory
-    trace.post_writes = [(addrs, memory.read_u32(addrs))
-                         for addrs, _ in emitter.undo]
     if capture is not None:
         capture.note_wave("trace", len(warps),
                           detail=f"{len(trace.pcs)} trace rows")

@@ -34,9 +34,12 @@ so a content hit is as sound across processes as an id hit is within
 one.
 
 Both tiers are size-capped LRU: the in-memory map evicts by entry
-count *and* by estimated payload bytes, the disk store by total file
-bytes with atomic-rename writes and CRC-checked reads (a corrupted
-file is deleted and treated as a miss, never replayed).
+count *and* by payload bytes — each trace's own ``nbytes``, fixed when
+the trace is made: its distinct payload columns counted once plus a
+constant per row (:func:`repro.gpu.timed_trace._payload_bytes`) — the
+disk store by total file bytes with atomic-rename writes and
+CRC-checked reads (a corrupted file is deleted and treated as a miss,
+never replayed).
 
 Disable with ``REPRO_TRACE_CACHE=0``; point the disk tier at a
 directory with ``REPRO_TRACE_CACHE_DIR`` (or
@@ -47,6 +50,7 @@ would change degradation decisions between cold and warm runs.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import pickle
@@ -83,31 +87,11 @@ _L2_EVICTIONS = _METRICS.counter(
     "Cache entries evicted by size caps", tier="l2")
 
 #: default in-memory payload cap; one wave trace of the benchmark
-#: kernels is a few hundred KiB, so this holds the working set of a
-#: busy service worker without letting a long session grow unbounded
+#: kernels is a few hundred KiB (``TimedTrace.nbytes``: 0.07-1.2 MB),
+#: so the entry cap normally binds first and this stops a session of
+#: unusually large traces from growing unbounded
 DEFAULT_MAX_BYTES = 256 * _MB
 DEFAULT_STORE_BYTES = 512 * _MB
-
-
-def _nbytes(obj, _depth: int = 0) -> int:
-    """Estimated payload size of a trace entry: every numpy array
-    reachable through the usual containers, plus a small per-object
-    floor so entries of empty traces still cost something."""
-    if _depth > 6:
-        return 0
-    n = getattr(obj, "nbytes", None)
-    if n is not None and isinstance(n, (int,)):
-        return int(n)
-    if isinstance(obj, dict):
-        return 64 + sum(_nbytes(v, _depth + 1) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return 64 + sum(_nbytes(v, _depth + 1) for v in obj)
-    slots = getattr(type(obj), "__slots__", None)
-    if slots:
-        return 64 + sum(
-            _nbytes(getattr(obj, s, None), _depth + 1) for s in slots
-        )
-    return 64
 
 
 class FileStore:
@@ -212,22 +196,34 @@ class FileStore:
         except OSError:
             pass
 
+    def _scan(self) -> list[tuple[float, int, str]]:
+        """One directory pass: ``(mtime, size, path)`` per entry.  A
+        file another process removes mid-scan is skipped."""
+        files = []
+        try:
+            with os.scandir(self.root) as it:
+                for ent in it:
+                    if not ent.name.endswith(".bin"):
+                        continue
+                    try:
+                        st = ent.stat()
+                    except OSError:
+                        continue
+                    files.append((st.st_mtime, st.st_size, ent.path))
+        except OSError:
+            pass
+        return files
+
     def _evict(self) -> None:
         """Drop least-recently-used files until under the byte cap."""
         with self._lock:
-            try:
-                files = [
-                    (p.stat().st_mtime, p.stat().st_size, p)
-                    for p in self.root.glob("*.bin")
-                ]
-            except OSError:
-                return
+            files = self._scan()
             total = sum(size for _, size, _ in files)
             if total <= self.max_bytes:
                 return
-            for _, size, p in sorted(files):
+            for _, size, path in sorted(files):
                 try:
-                    p.unlink()
+                    os.unlink(path)
                 except OSError:
                     continue
                 self.evictions += 1
@@ -239,19 +235,13 @@ class FileStore:
     def bytes_used(self) -> int:
         """Current on-disk payload bytes (never negative: recomputed
         from the directory, not tracked incrementally)."""
-        try:
-            return sum(
-                p.stat().st_size
-                for p in self.root.glob("*.bin") if p.exists()
-            )
-        except OSError:
-            return 0
+        return sum(size for _, size, _ in self._scan())
 
     def stats(self) -> dict:
-        files = list(self.root.glob("*.bin"))
+        files = self._scan()
         return {
             "entries": len(files),
-            "bytes": sum(p.stat().st_size for p in files if p.exists()),
+            "bytes": sum(size for _, size, _ in files),
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self.corrupt,
@@ -267,7 +257,7 @@ class _Entry:
         self.warp_counts = warp_counts
         self.n_warps = n_warps
         self.compiled = compiled  # strong ref pins id(compiled)
-        self.nbytes = _nbytes(trace)
+        self.nbytes = trace.nbytes
 
 
 class TraceCache:
@@ -285,6 +275,7 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        self.evictions = 0
 
     # -- keys ------------------------------------------------------------
     def launch_key(self, compiled, config, param_values: dict,
@@ -387,6 +378,7 @@ class TraceCache:
         ):
             _, evicted = self._entries.popitem(last=False)
             self.bytes -= evicted.nbytes
+            self.evictions += 1
             _L2_EVICTIONS.inc()
 
     def keys(self) -> list:
@@ -399,6 +391,7 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        self.evictions = 0
 
     def stats(self) -> dict:
         out = {
@@ -407,6 +400,7 @@ class TraceCache:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
+            "evictions": self.evictions,
         }
         if self.store is not None:
             out["store"] = self.store.stats()
@@ -417,11 +411,8 @@ def _strip_plan(trace):
     """A copy of ``trace`` without the lazily-built issue plan (it
     holds decoded-program references that must not cross processes;
     the first replay rebuilds it)."""
-    from repro.gpu.timed_trace import TimedTrace
-
-    out = TimedTrace(trace.pcs, trace.seg_starts, trace.seg_ends,
-                     trace.dyn, trace.n_warps, trace.nregs,
-                     trace.block_ids, post_writes=trace.post_writes)
+    out = copy.copy(trace)
+    out.plan = out.plan_sig = None
     return out
 
 

@@ -374,6 +374,10 @@ class AffineAnalysis:
         self._in_regs: list[Optional[RegState]] = [None] * nblocks
         self._in_preds: list[Optional[PredState]] = [None] * nblocks
         self._run()
+        #: block id -> state before each of its instructions; filled by
+        #: one sweep of the block on its first point query, and only
+        #: ever after the fixpoint above has settled the in-states
+        self._point_states: dict[int, list[tuple[RegState, PredState]]] = {}
 
     # -- fixpoint ------------------------------------------------------
     def _run(self) -> None:
@@ -707,21 +711,33 @@ class AffineAnalysis:
         preds[pd.index] = OrExpr(ea, eb) if combine == "OR" else AndExpr(ea, eb)
 
     # -- per-point queries ---------------------------------------------
-    def state_before(self, index: int) -> tuple[RegState, PredState]:
-        """Abstract state just before executing ``program[index]``."""
+    def _state(self, index: int) -> tuple[RegState, PredState]:
+        """The memoised state before ``program[index]`` (read-only: the
+        dicts are shared by every later query of the block)."""
         blk = self.cfg.block_of_instruction(index)
-        regs = dict(self._in_regs[blk.bid] or {})
-        preds = dict(self._in_preds[blk.bid] or {})
-        for i in range(blk.start, index):
-            self._step(self.program[i], i, regs, preds)
-        return regs, preds
+        states = self._point_states.get(blk.bid)
+        if states is None:
+            regs = dict(self._in_regs[blk.bid] or {})
+            preds = dict(self._in_preds[blk.bid] or {})
+            states = []
+            for i in range(blk.start, blk.end):
+                states.append((dict(regs), dict(preds)))
+                self._step(self.program[i], i, regs, preds)
+            self._point_states[blk.bid] = states
+        return states[index - blk.start]
+
+    def state_before(self, index: int) -> tuple[RegState, PredState]:
+        """Abstract state just before executing ``program[index]`` (a
+        copy the caller may mutate)."""
+        regs, preds = self._state(index)
+        return dict(regs), dict(preds)
 
     def value_before(self, reg: Union[Register, int], index: int,
                      tag: Tag = None) -> Value:
         """Value of ``reg`` before ``program[index]`` as seen by a
         reader guarded by ``tag`` (None = unconditional reader)."""
         ridx = reg.index if isinstance(reg, Register) else reg
-        regs, _ = self.state_before(index)
+        regs, _ = self._state(index)
         ent = regs.get(ridx)
         if ent is None:
             return TOP
@@ -748,7 +764,7 @@ class AffineAnalysis:
     def pred_before(self, pidx: int, index: int) -> Optional[PredExpr]:
         """Symbolic expression of predicate ``P<pidx>`` before
         ``program[index]`` (None when unknown)."""
-        _, preds = self.state_before(index)
+        _, preds = self._state(index)
         return preds.get(pidx)
 
     def guard_expr(self, index: int) -> Optional[PredExpr]:

@@ -372,9 +372,11 @@ class ScoutServer:
         }
         tc = trace_cache()
         if tc is not None:
-            l2 = {"entries": len(tc._entries), "bytes": tc.bytes}
-            if tc.store is not None:
-                l2["store_bytes"] = tc.store.bytes_used()
+            st = tc.stats()
+            l2 = {"entries": st["entries"], "bytes": st["bytes"],
+                  "evictions": st["evictions"]}
+            if "store" in st:
+                l2["store_bytes"] = st["store"]["bytes"]
             out["l2"] = l2
         if self.runner.reports is not None:
             reports = self.runner.reports

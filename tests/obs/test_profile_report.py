@@ -62,6 +62,55 @@ class TestRenderers:
         assert "trace_path" not in data  # only set when --trace ran
 
 
+TRACE_COUNTERS = {"trace_build_s", "trace_put_s", "trace_hits",
+                  "trace_misses", "trace_bytes"}
+
+
+class TestTraceCostCounters:
+    """What the launch spent on effect traces shows in --profile and in
+    the JSON ``profile`` block, and nowhere a cache hit could leak into
+    a cached or compared report."""
+
+    def _cold_and_warm(self):
+        from repro.gpu.trace_cache import trace_cache
+
+        rk = resolve_kernel("sgemm:naive", 64, 4)
+        trace_cache().clear()
+        ck, config, args, textures = rk
+        return [GPUscout(fast=True).analyze(ck, config, args,
+                                            textures=textures, max_blocks=2)
+                for _ in range(2)]
+
+    @staticmethod
+    def _launch_counters(report):
+        (span,) = [s for s in report.profile.spans if s.name == "launch"]
+        return span.counters
+
+    def test_launch_span_names_build_put_and_hits(self):
+        cold, warm = map(self._launch_counters, self._cold_and_warm())
+        assert set(cold) == set(warm) == TRACE_COUNTERS
+        assert cold["trace_misses"] >= 1 and cold["trace_hits"] == 0
+        assert warm["trace_hits"] == cold["trace_misses"]
+        assert warm["trace_misses"] == 0
+        assert warm["trace_build_s"] == warm["trace_put_s"] == 0.0
+        assert cold["trace_bytes"] == warm["trace_bytes"] > 0
+
+    def test_only_the_volatile_profile_block_carries_them(self):
+        from repro.serve.protocol import strip_volatile
+
+        cold, warm = self._cold_and_warm()
+        for name in TRACE_COUNTERS:
+            assert name in cold.render(profile=True)
+            assert name not in cold.render()
+        docs = [report_to_dict(r) for r in (cold, warm)]
+        spans = {s["name"]: s for s in docs[0]["profile"]["spans"]}
+        assert set(spans["launch"]["counters"]) == TRACE_COUNTERS
+        stripped = [json.dumps(strip_volatile(d), sort_keys=True)
+                    for d in docs]
+        assert stripped[0] == stripped[1]
+        assert "trace_build_s" not in stripped[0]
+
+
 class TestCLI:
     def test_trace_and_profile_flags(self, tmp_path, capsys):
         trace = tmp_path / "t.json"

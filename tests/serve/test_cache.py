@@ -13,7 +13,13 @@ from repro.serve.cache import ReportCache, StaticCache
 
 
 class _FakeTrace:
+    """What ``_Entry`` reads of a trace: ``n_warps`` and the payload
+    size the trace carries (``TimedTrace.nbytes``)."""
+
     n_warps = 0
+
+    def __init__(self, nbytes=64):
+        self.nbytes = nbytes
 
 
 def _key(i):
@@ -72,6 +78,17 @@ class TestFileStore:
         assert "a" in present and "d" in present
 
 
+    def test_stats_and_bytes_used_share_one_scan(self, tmp_path):
+        s = FileStore(tmp_path)
+        s.put("a", bytes(100))
+        s.put("b", bytes(200))
+        (tmp_path / ".c.bin.123.tmp").write_bytes(bytes(50))  # mid-write
+        (tmp_path / "notes.txt").write_bytes(bytes(50))
+        stats = s.stats()
+        assert stats["entries"] == 2
+        assert stats["bytes"] == s.bytes_used() == 300 + 2 * 8
+
+
 class TestTraceCacheLRU:
     def test_capacity_eviction_order(self):
         c = TraceCache(capacity=3)
@@ -87,35 +104,23 @@ class TestTraceCacheLRU:
         assert c.get(_key(1)) is None
 
     def test_byte_cap_evicts(self):
-        class _BigTrace:
-            __slots__ = ("payload",)
-            n_warps = 0
-
-            def __init__(self, nbytes):
-                self.payload = np.zeros(nbytes, dtype=np.uint8)
-
         c = TraceCache(capacity=100, max_bytes=4096)
         for i in range(4):
-            c.put(_key(i), _BigTrace(1500), {}, object())
-        # 4 x ~1.5KB > 4KB: the byte cap, not the entry cap, must bite
-        assert len(c.keys()) < 4
-        assert c.bytes <= 4096
+            c.put(_key(i), _FakeTrace(1500), {}, object())
+        # 4 x 1.5KB > 4KB: the byte cap, not the entry cap, must bite
+        assert c.keys() == [_key(2), _key(3)]
+        assert c.bytes == 3000
+        assert c.stats()["evictions"] == 2
         assert c.get(_key(3)) is not None, "newest entry evicted"
 
     def test_update_replaces_byte_accounting(self):
-        class _BigTrace:
-            __slots__ = ("payload",)
-            n_warps = 0
-
-            def __init__(self, nbytes):
-                self.payload = np.zeros(nbytes, dtype=np.uint8)
-
         c = TraceCache(capacity=4, max_bytes=10**9)
         assert c.bytes == 0
-        c.put(_key(0), _BigTrace(4000), {}, object())
-        before = c.bytes
-        c.put(_key(0), _BigTrace(4000), {}, object())
-        assert c.bytes == before, "re-put double-counted entry bytes"
+        c.put(_key(0), _FakeTrace(4000), {}, object())
+        assert c.bytes == 4000
+        c.put(_key(0), _FakeTrace(4000), {}, object())
+        assert c.bytes == 4000, "re-put double-counted entry bytes"
+        assert c.stats()["evictions"] == 0
 
 
 class TestTraceCacheDiskTier:
