@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", metavar="PATH", default=None,
                       help="also write the findings as JSON (use '-' "
                            "for stdout instead of the text report)")
-    p_an.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="batched functional execution and trace-driven "
-                           "timed scheduling (default on; REPRO_FAST=0 "
-                           "also disables)")
     p_an.add_argument("--deadline", type=float, default=None,
                       metavar="SECONDS",
                       help="wall-clock budget for the simulation; on "
@@ -192,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--profile", action="store_true",
                       help="append the [prof] footer: per-stage pipeline "
                            "wall time and the hottest source lines")
-    p_an.add_argument("--latency-table", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="time instruction issue with the per-opcode "
-                           "latency table instead of the uniform spec "
-                           "defaults (default off; REPRO_LATENCY_TABLE=1 "
-                           "also enables)")
 
     p_ov = sub.add_parser(
         "overlay",
@@ -295,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="default per-request wall-clock budget "
                             "(requests may override)")
-    p_srv.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="fast simulation mode for served analyses "
-                            "(default on; REPRO_FAST=0 also disables)")
     p_srv.add_argument("--metrics", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="arm the telemetry registry behind "
@@ -384,10 +369,8 @@ def _main(argv: Optional[list[str]] = None) -> int:
     scout = GPUscout(
         analyses=all_analyses() if args.extended else None,
         spec=GPUSpec.v100(),
-        fast=args.fast,
         budget=(SimBudget(max_wall_seconds=args.deadline)
                 if args.deadline is not None else None),
-        latency_table=args.latency_table,
     )
     capture = None
     if args.trace and not args.dry_run and not args.sass:
@@ -554,7 +537,7 @@ def _run_serve(args) -> int:
     server = ScoutServer(
         host=args.host, port=args.port, workers=args.workers,
         cache_dir=args.cache_dir, deadline=args.deadline,
-        fast=args.fast, cache_mb=args.cache_mb,
+        cache_mb=args.cache_mb,
         metrics=args.metrics, access_log=args.access_log,
         trace_dir=args.trace_dir,
     )

@@ -53,7 +53,6 @@ from repro.gpu.simulator import (
     LaunchResult,
     SimBudget,
     Simulator,
-    resolve_fast_mode,
 )
 from repro.gpu.stalls import StallReason
 from repro.metrics.collector import MetricReport, NsightComputeCLI
@@ -225,20 +224,12 @@ class GPUscout:
         spec: Optional[GPUSpec] = None,
         sampler: Optional[PCSampler] = None,
         ncu: Optional[NsightComputeCLI] = None,
-        fast: Optional[bool] = None,
         budget: Optional[SimBudget] = None,
-        latency_table: Optional[bool] = None,
     ):
         self.analyses = list(analyses) if analyses is not None else default_analyses()
         self.spec = spec or GPUSpec.v100()
         self.sampler = sampler or PCSampler()
         self.ncu = ncu or NsightComputeCLI()
-        #: fast-path toggle (None = REPRO_FAST/default): batched
-        #: functional execution *and* the trace-driven timed scheduler
-        self.fast = fast
-        #: per-opcode latency-table issue model
-        #: (None = REPRO_LATENCY_TABLE/default-off)
-        self.latency_table = latency_table
         #: default resource budget applied to every :meth:`analyze`
         #: (a per-call ``budget`` argument overrides it)
         self.budget = budget
@@ -623,9 +614,8 @@ class GPUscout:
     ) -> tuple[Optional[LaunchResult], str]:
         """Run the dynamic stage down the degradation ladder.
 
-        Rungs, most to least capable: the configured timed path
-        (trace-driven when fast mode is on), the legacy timed path
-        (only distinct when fast mode was on), functional-only
+        Rungs, most to least capable: the trace-driven timed path, the
+        legacy timed path (the reference scheduler), functional-only
         execution (``timed=False`` — fills counters' functional side
         but no cycles/stalls), and finally static-only (no launch at
         all).  Every demotion is recorded via ``note``; a latched
@@ -641,17 +631,14 @@ class GPUscout:
         shows the run that produced the report.
         """
         prof = prof if prof is not None else NULL_PROFILER
-        fast = resolve_fast_mode(self.fast)
         rungs: list[tuple[str, bool, bool]] = [
-            ("timed-trace" if fast else "timed-legacy", fast, True),
+            ("timed-trace", True, True),
+            ("timed-legacy", False, True),
+            ("functional-only", True, False),
         ]
-        if fast:
-            rungs.append(("timed-legacy", False, True))
-        rungs.append(("functional-only", fast, False))
         for i, (rung, rung_fast, timed) in enumerate(rungs):
             fallback = rungs[i + 1][0] if i + 1 < len(rungs) else "static-only"
-            sim = Simulator(self.spec, fast=rung_fast,
-                            latency_table=self.latency_table)
+            sim = Simulator(self.spec, fast=rung_fast)
             capture_mark = trace.mark() if trace is not None and \
                 hasattr(trace, "mark") else None
             with prof.span(f"launch:{rung}") as span:

@@ -27,8 +27,7 @@ device memory and identical counters vs. the per-warp path:
   legacy path would raise — happens on the legacy per-warp loop.
 
 Programs containing opcodes the executor does not implement, or
-order-sensitive float atomics, are simply routed to the legacy path;
-``REPRO_FAST=0`` (or ``fast=False``) disables batching entirely.
+order-sensitive float atomics, are simply routed to the legacy path.
 """
 
 from __future__ import annotations

@@ -134,9 +134,7 @@ class _PCMeta:
         self.static_len = -1
         self.static_groups = ()
         self.hit_lat = 0.0
-        #: result latency for the fixed-latency dispatch codes (0/1/2);
-        #: the uniform spec default, or the per-opcode table when a
-        #: :class:`~repro.sass.latency.LatencyModel` is threaded in
+        #: result latency for the fixed-latency dispatch codes (0/1/2)
         self.fix_lat = 0.0
 
 
@@ -197,7 +195,6 @@ class SMScheduler:
         counters: Counters,
         trace=None,
         budget: Optional[SimBudget] = None,
-        latency_model=None,
     ):
         self.spec = spec
         self.executor = executor
@@ -217,17 +214,6 @@ class SMScheduler:
         #: optional :class:`~repro.gpu.budget.SimBudget` checked every
         #: ``_BUDGET_STRIDE`` issues (None on the unguarded happy path)
         self.budget = budget
-        #: optional :class:`~repro.sass.latency.LatencyModel` replacing
-        #: the uniform spec issue costs / fixed latencies with per-PC
-        #: values.  ``None`` (the default) keeps the spec defaults on
-        #: the exact code paths the equivalence suites pin.
-        self.latency_model = latency_model
-        self._lat_issue = (latency_model.issue_costs
-                           if latency_model is not None else None)
-        self._lat_dep = (latency_model.dep_latencies
-                         if latency_model is not None else None)
-        self._lat_sig = (latency_model.signature()
-                         if latency_model is not None else None)
         self.program: Program = executor.program
         # SM-lifetime resources (persist across waves)
         self.lsu = Timeline(spec.lsu_sectors_per_cycle)
@@ -385,8 +371,6 @@ class SMScheduler:
         if self._trace_meta is not None:
             return self._trace_meta
         spec = self.spec
-        lat_issue = self._lat_issue
-        lat_dep = self._lat_dep
         metas: list = []
         for pc, se in enumerate(
                 static_effect_table(self.executor.decoded, spec)):
@@ -444,10 +428,6 @@ class SMScheduler:
                 m.hit_lat = float(spec.lat_tex_hit)
             else:  # barrier
                 m.code = 8
-            if lat_issue is not None:
-                m.issue_cost = lat_issue[pc]
-                if m.code in (0, 1, 2):
-                    m.fix_lat = lat_dep[pc]
             metas.append(m)
         self._trace_meta = metas
         return metas
@@ -557,10 +537,6 @@ class SMScheduler:
         heappop = heapq.heappop
 
         plan = ttrace.plan
-        if plan is not None and getattr(ttrace, "plan_sig", None) != self._lat_sig:
-            # the cached plan embeds issue costs / fixed latencies from
-            # a different latency model: rebuild under this one
-            plan = None
         if plan is None:
             # per-row issue plan: everything the hot loop reads per
             # issue as one flat tuple — (code, pipe-kind, issue cost,
@@ -577,7 +553,6 @@ class SMScheduler:
                              m.issue_cost, m.srcs, m.dests, pc, m,
                              dyn.get(r)))
             ttrace.plan = plan
-            ttrace.plan_sig = self._lat_sig
 
         def compute_dep(rt):
             # dependency half of _next_ready: earliest slot, forced
@@ -1110,8 +1085,6 @@ class SMScheduler:
 
     # ------------------------------------------------------------------
     def _issue_cost(self, effect: Effect, pc: int) -> float:
-        if self._lat_issue is not None:
-            return self._lat_issue[pc]
         if effect.kind == "fp64":
             return float(self.spec.issue_fp64)
         if effect.kind == "mufu":
@@ -1172,26 +1145,18 @@ class SMScheduler:
     def _apply_timing(self, rt: _WarpRT, t_issue: float, effect: Effect,
                       pc: int) -> None:
         """Book pipeline resources and set destination-register ready
-        times for ``effect``.
-
-        The fixed-latency classes (ALU/FP64/MUFU results) read the
-        per-PC latency model when one is threaded in; memory results
-        stay cache-level dependent in either mode."""
+        times for ``effect``."""
         spec = self.spec
         kind = effect.kind
-        dep = self._lat_dep
         if kind in ("alu", "convert", "branch", "exit", "nop", "barrier"):
-            lat = spec.lat_alu if dep is None else dep[pc]
-            self._set_dests(rt, effect, t_issue + lat, _KIND_WAIT)
+            self._set_dests(rt, effect, t_issue + spec.lat_alu, _KIND_WAIT)
             return
         if kind == "fp64":
-            lat = spec.lat_fp64 if dep is None else dep[pc]
-            self._set_dests(rt, effect, t_issue + lat, _KIND_WAIT)
+            self._set_dests(rt, effect, t_issue + spec.lat_fp64, _KIND_WAIT)
             return
         if kind == "mufu":
             finish = self.mufu.book(t_issue + 1, 1.0)
-            lat = spec.lat_mufu if dep is None else dep[pc]
-            self._set_dests(rt, effect, finish + lat, _KIND_WAIT)
+            self._set_dests(rt, effect, finish + spec.lat_mufu, _KIND_WAIT)
             return
         if kind in ("global_load", "global_store", "local_load", "local_store"):
             n_sectors = len(effect.sectors)

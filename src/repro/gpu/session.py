@@ -16,11 +16,10 @@ for the simulator:
 The one-shot :meth:`~repro.gpu.simulator.Simulator.launch` remains the
 convenient path for single launches.
 
-``fast`` selects both the batched functional engine and the
-trace-driven timed scheduler (:mod:`repro.gpu.timed_trace`).  Warm
-caches compose with the trace path: the consumer replays cache-tag
-lookups in legacy issue order, so back-to-back launches stay
-bit-identical across modes even though later launches start from the
+Warm caches compose with the trace-driven timed scheduler
+(:mod:`repro.gpu.timed_trace`): the consumer replays cache-tag lookups
+in legacy issue order, so back-to-back launches stay bit-identical to
+the reference scheduler even though later launches start from the
 cache state earlier ones left behind.
 """
 
@@ -66,11 +65,9 @@ class DeviceSession:
     """A long-lived device context for multi-launch workloads."""
 
     def __init__(self, spec: Optional[GPUSpec] = None,
-                 capacity_bytes: int = 64 * 1024 * 1024,
-                 fast: Optional[bool] = None,
-                 latency_table: Optional[bool] = None):
+                 capacity_bytes: int = 64 * 1024 * 1024):
         self.spec = spec or GPUSpec.v100()
-        self.sim = Simulator(self.spec, fast=fast, latency_table=latency_table)
+        self.sim = Simulator(self.spec)
         self.memory = DeviceMemory(capacity_bytes)
         #: caches persist across launches (warm-cache semantics)
         self.hierarchy = MemoryHierarchy(self.spec)

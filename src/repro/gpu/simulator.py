@@ -9,7 +9,6 @@ remaining blocks functionally so output buffers are complete.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -31,34 +30,7 @@ from repro.sass.occupancy import compute_occupancy
 from repro.testing.faultinject import fail_point
 
 __all__ = ["LaunchConfig", "LaunchResult", "SimBudget", "Simulator",
-           "TextureDesc", "resolve_fast_mode", "resolve_latency_table"]
-
-_FALSE_STRINGS = ("0", "false", "off", "no")
-_TRUE_STRINGS = ("1", "true", "on", "yes")
-
-
-def resolve_fast_mode(fast: Optional[bool] = None) -> bool:
-    """Resolve the fast-path toggle: an explicit argument wins, then the
-    ``REPRO_FAST`` environment variable (``0``/``false``/``off``/``no``
-    disable), then the default (enabled)."""
-    if fast is not None:
-        return bool(fast)
-    env = os.environ.get("REPRO_FAST")
-    if env is not None and env.strip().lower() in _FALSE_STRINGS:
-        return False
-    return True
-
-
-def resolve_latency_table(latency_table: Optional[bool] = None) -> bool:
-    """Resolve the per-opcode latency-table toggle: an explicit argument
-    wins, then the ``REPRO_LATENCY_TABLE`` environment variable, then
-    the default (**off** — the uniform spec latencies are what the
-    bit-identity equivalence suites pin)."""
-    if latency_table is not None:
-        return bool(latency_table)
-    env = os.environ.get("REPRO_LATENCY_TABLE")
-    return env is not None and env.strip().lower() in _TRUE_STRINGS
-
+           "TextureDesc"]
 
 WARP = 32
 _ALLOC_ALIGN = 256
@@ -178,16 +150,13 @@ class LaunchResult:
 class Simulator:
     """Launches compiled kernels on the simulated GPU."""
 
-    def __init__(self, spec: Optional[GPUSpec] = None,
-                 fast: Optional[bool] = None,
-                 latency_table: Optional[bool] = None):
+    def __init__(self, spec: Optional[GPUSpec] = None, fast: bool = True):
         self.spec = spec or GPUSpec.v100()
         #: use the batched functional engine (see :mod:`repro.gpu.batch`)
-        self.fast = resolve_fast_mode(fast)
-        #: per-opcode issue latencies instead of the uniform spec
-        #: defaults (see :mod:`repro.sass.latency`); off by default so
-        #: the equivalence suites keep pinning the spec numbers
-        self.latency_table = resolve_latency_table(latency_table)
+        #: and the trace-driven timed scheduler; ``False`` is the
+        #: reference path the equivalence suites and the engine's
+        #: ``timed-legacy`` ladder rung run
+        self.fast = fast
 
     # ------------------------------------------------------------------
     def launch(
@@ -256,14 +225,8 @@ class Simulator:
         executor = Executor(compiled, mem, spec, param_values, tex_layouts)
         hierarchy = hierarchy or MemoryHierarchy(spec)
         counters = Counters()
-        latency_model = None
-        if self.latency_table:
-            from repro.sass.latency import LatencyModel
-
-            latency_model = LatencyModel(compiled.program, spec)
         scheduler = SMScheduler(spec, executor, hierarchy, counters,
-                                trace=trace, budget=budget,
-                                latency_model=latency_model)
+                                trace=trace, budget=budget)
 
         occ = compute_occupancy(
             config.threads_per_block,

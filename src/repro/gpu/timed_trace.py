@@ -310,8 +310,7 @@ class TimedTrace:
     """
 
     __slots__ = ("pcs", "seg_starts", "seg_ends", "dyn", "n_warps",
-                 "nregs", "block_ids", "post_writes", "nbytes", "plan",
-                 "plan_sig")
+                 "nregs", "block_ids", "post_writes", "nbytes", "plan")
 
     def __init__(self, pcs: list, seg_starts: list, seg_ends: list,
                  dyn: dict, n_warps: int, nregs: int, block_ids: list,
@@ -327,11 +326,8 @@ class TimedTrace:
         self.nbytes = _payload_bytes(self)
         #: per-row issue-plan tuples, filled lazily by the consumer
         #: (:meth:`SMScheduler.run_wave_trace`) on first replay and
-        #: reused by every later replay of this trace; ``plan_sig``
-        #: records the latency-model signature the plan was built
-        #: under, so replays under a different model rebuild it
+        #: reused by every later replay of this trace
         self.plan = None
-        self.plan_sig = None
 
 
 class TraceEmitter:

@@ -412,7 +412,7 @@ def _strip_plan(trace):
     holds decoded-program references that must not cross processes;
     the first replay rebuilds it)."""
     out = copy.copy(trace)
-    out.plan = out.plan_sig = None
+    out.plan = None
     return out
 
 

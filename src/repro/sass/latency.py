@@ -21,16 +21,11 @@ the parser understands:
   barriers on variable-latency results, read barriers on store data,
   wait masks on the first dependent consumer, stall counts covering
   fixed-latency producer→consumer gaps.
-* :class:`LatencyModel` — the bridge into the timed simulator
-  (:mod:`repro.gpu.scheduler`): per-PC issue costs and dependence
-  latencies.  ``mode="spec"`` reproduces the scheduler's uniform
-  :class:`~repro.gpu.config.GPUSpec` defaults bit-for-bit (so threading
-  the model through the issue path is provably a no-op), ``mode="table"``
-  resolves per-opcode — gated behind the simulator's
-  ``latency_table`` toggle with its own equivalence baseline.
 
 The overlay renderer (:func:`repro.sass.writer.format_overlay`) prints
-all of it next to each instruction.
+all of it next to each instruction.  The table annotates the listing
+only: the timed simulator (:mod:`repro.gpu.scheduler`) keeps its
+uniform :class:`~repro.gpu.config.GPUSpec` latencies.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from repro.sass.isa import Instruction, OpClass, Opcode, Program
 
 __all__ = [
     "ControlCode",
-    "LatencyModel",
     "OPCODE_LATENCY",
     "OpLatency",
     "assign_control_codes",
@@ -274,66 +268,3 @@ def assign_control_codes(program: Program) -> list[ControlCode]:
             wait_mask=wait_mask,
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# the simulator-facing model
-# ---------------------------------------------------------------------------
-
-class LatencyModel:
-    """Per-PC issue costs and dependence latencies for one program.
-
-    The timed scheduler's issue path reads two numbers per PC: the
-    issue cost (scheduler-slot hold) and — for fixed-latency dispatch
-    classes (ALU/FP64/MUFU results; memory latencies stay cache-level
-    dependent) — the producer→consumer dependence latency.
-
-    ``mode="spec"`` resolves both exactly as the scheduler's inline
-    defaults do (``issue_default``/``issue_fp64``/``issue_mufu`` and
-    ``lat_alu``/``lat_fp64``/``lat_mufu``), making the threaded model a
-    provable no-op; ``mode="table"`` resolves the issue cost from
-    :data:`OPCODE_LATENCY` and the dependence latency from the table's
-    fixed entries (falling back to the spec value for variable-latency
-    classes, whose results the memory hierarchy times).
-    """
-
-    def __init__(self, program: Program, spec, mode: str = "table"):
-        if mode not in ("spec", "table"):
-            raise ValueError(f"unknown latency-model mode {mode!r}")
-        self.program = program
-        self.spec = spec
-        self.mode = mode
-        issue: list[float] = []
-        dep: list[float] = []
-        for ins in program.instructions:
-            oc = ins.opcode.op_class
-            info = op_latency(ins.opcode)
-            is_mufu = ins.opcode.base == "MUFU"
-            if mode == "spec":
-                if oc is OpClass.FP64:
-                    issue.append(float(spec.issue_fp64))
-                    dep.append(float(spec.lat_fp64))
-                elif is_mufu:
-                    issue.append(float(spec.issue_mufu))
-                    dep.append(float(spec.lat_mufu))
-                else:
-                    issue.append(float(spec.issue_default))
-                    dep.append(float(spec.lat_alu))
-            else:
-                issue.append(float(info.issue_cost))
-                if info.latency is not None:
-                    dep.append(float(info.latency))
-                elif is_mufu:
-                    dep.append(float(spec.lat_mufu))
-                elif oc is OpClass.FP64:
-                    dep.append(float(spec.lat_fp64))
-                else:
-                    dep.append(float(spec.lat_alu))
-        self.issue_costs = issue
-        self.dep_latencies = dep
-
-    def signature(self) -> tuple:
-        """Identity token for plan caches: replayed issue plans embed
-        these numbers, so a trace built under one model must rebuild
-        its plan under another."""
-        return ("latency-model", self.mode)

@@ -62,7 +62,7 @@ _POOL_RESPAWNS = _METRICS.counter(
 
 
 def _worker_main(worker_id: int, generation: int, task_q, result_q,
-                 cache_dir, fast, deadline) -> None:
+                 cache_dir, deadline) -> None:
     """Worker-process entry point: serve requests until the ``None``
     sentinel arrives."""
     from repro.obs.metrics import REGISTRY, armed, set_exemplar
@@ -71,8 +71,8 @@ def _worker_main(worker_id: int, generation: int, task_q, result_q,
     # fork copied the parent's live registry values; zero them in
     # place so this worker's snapshots report only its own work
     REGISTRY.reset()
-    runner = KernelRunner(cache_dir=cache_dir, fast=fast,
-                          deadline=deadline, worker_id=worker_id)
+    runner = KernelRunner(cache_dir=cache_dir, deadline=deadline,
+                          worker_id=worker_id)
     while True:
         item = task_q.get()
         if item is None:
@@ -126,7 +126,6 @@ class WorkerPool:
     """N analysis workers fed through per-worker queues."""
 
     def __init__(self, n_workers: int, cache_dir: Optional[str] = None,
-                 fast: Optional[bool] = None,
                  deadline: Optional[float] = None,
                  mp_context: Optional[str] = None):
         import multiprocessing as mp
@@ -140,7 +139,6 @@ class WorkerPool:
                 else None
         self._ctx = mp.get_context(mp_context)
         self.cache_dir = cache_dir
-        self.fast = fast
         self.deadline = deadline
         self._result_q = self._ctx.Queue()
         self._lock = threading.Lock()
@@ -168,7 +166,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, generation, queue, self._result_q,
-                  self.cache_dir, self.fast, self.deadline),
+                  self.cache_dir, self.deadline),
             daemon=True,
             name=f"gpuscout-worker-{wid}",
         )

@@ -43,6 +43,7 @@ __all__ = [
     "content_address",
     "http_status_for",
     "launch_fingerprint",
+    "request_key",
     "spec_fingerprint",
     "static_key",
     "strip_volatile",
@@ -182,27 +183,39 @@ def launch_fingerprint(config, params: Optional[dict] = None) -> dict:
     }
 
 
+def _report_address(payload: dict, spec: GPUSpec) -> str:
+    """Digest of ``payload`` plus the two terms every report address
+    carries: the complete arch config and the report schema version —
+    bumping the schema invalidates every cached report at once."""
+    from repro.core.jsonout import SCHEMA_VERSION
+
+    payload = dict(payload, arch=spec_fingerprint(spec),
+                   schema=SCHEMA_VERSION)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def content_address(sass_text: str, config, params: Optional[dict],
                     spec: GPUSpec, extras: Optional[dict] = None) -> str:
     """The full (L3) content address of one analysis result.
 
     Keyed by everything that can influence the report body: SASS text,
-    launch fingerprint (geometry + params), the complete arch config,
-    request options that change what is computed (``extras``), and the
-    report schema version — bumping the schema invalidates every
-    cached report at once.
+    launch fingerprint (geometry + params), request options that change
+    what is computed (``extras``), and the arch config and schema
+    version :func:`_report_address` adds.
     """
-    from repro.core.jsonout import SCHEMA_VERSION
-
-    payload = {
-        "schema": SCHEMA_VERSION,
+    return _report_address({
         "sass": hashlib.sha256(sass_text.encode()).hexdigest(),
         "launch": launch_fingerprint(config, params),
-        "arch": spec_fingerprint(spec),
         "extras": _canon(extras or {}),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    }, spec)
+
+
+def request_key(req: AnalyzeRequest) -> str:
+    """Fingerprint of the submission as written: the proxy key the
+    server's address memo maps onto real content addresses, so repeats
+    are answered from L3 without resolving (= compiling) the kernel."""
+    return _report_address({"req": req.to_dict()}, arch_spec(req.arch))
 
 
 def static_key(sass_text: str, config, extended: bool) -> str:

@@ -39,7 +39,6 @@ request spent its time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import secrets
 import threading
@@ -66,9 +65,8 @@ from repro.obs.spans import NULL_PROFILER, Profiler, Span
 from repro.serve.protocol import (
     AnalyzeRequest,
     ProtocolError,
-    arch_spec,
     http_status_for,
-    spec_fingerprint,
+    request_key,
 )
 from repro.serve.service import (
     KernelRunner,
@@ -103,13 +101,11 @@ class ScoutServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 0, cache_dir: Optional[str] = None,
                  deadline: Optional[float] = None,
-                 fast: Optional[bool] = None,
                  cache_mb: int = 256,
                  metrics: bool = True,
                  access_log: bool = False,
                  trace_dir: Optional[str] = None):
         self.deadline = deadline
-        self.fast = fast
         self.trace_dir = trace_dir
         if metrics:
             # arm BEFORE forking the pool so workers inherit the flag
@@ -122,11 +118,11 @@ class ScoutServer:
             from repro.serve.pool import WorkerPool
 
             self.pool = WorkerPool(workers, cache_dir=cache_dir,
-                                   fast=fast, deadline=deadline)
+                                   deadline=deadline)
         #: the inline runner doubles as the server-side L3 front cache
         #: (its ReportCache shares the disk tier with the workers)
-        self.runner = KernelRunner(cache_dir=cache_dir, fast=fast,
-                                   deadline=deadline, cache_mb=cache_mb)
+        self.runner = KernelRunner(cache_dir=cache_dir, deadline=deadline,
+                                   cache_mb=cache_mb)
         #: request-fingerprint -> content-address memo: lets the server
         #: answer repeats from L3 without resolving (= compiling) the
         #: kernel itself
@@ -184,21 +180,6 @@ class ScoutServer:
         self.stop()
 
     # -- request handling ------------------------------------------------
-    def _request_key(self, req: AnalyzeRequest) -> str:
-        """Fingerprint of the submission as written: the proxy key the
-        address memo maps onto real content addresses."""
-        from repro.core.jsonout import SCHEMA_VERSION
-        from repro.gpu.simulator import resolve_fast_mode
-
-        payload = {
-            "req": req.to_dict(),
-            "arch": spec_fingerprint(arch_spec(req.arch)),
-            "schema": SCHEMA_VERSION,
-            "fast": resolve_fast_mode(self.fast),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     def _front_hit(self, rkey: str) -> tuple[Optional[dict], bool]:
         """L3 front lookup: ``(envelope | None, corrupted)``."""
         with self._memo_lock:
@@ -240,7 +221,7 @@ class ScoutServer:
             except ProtocolError as exc:
                 env = error_envelope(exc)
                 return http_status_for(env["code"]), env
-            rkey = self._request_key(req)
+            rkey = request_key(req)
 
         with prof.span("cache:probe"):
             env, corrupted = self._front_hit(rkey)

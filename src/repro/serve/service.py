@@ -88,12 +88,10 @@ class KernelRunner:
     """Process-local analysis engine with warm L1/L2/L3 tiers."""
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 fast: Optional[bool] = None,
                  deadline: Optional[float] = None,
                  worker_id: Optional[int] = None,
                  static_capacity: int = 128,
                  cache_mb: int = 256):
-        self.fast = fast
         self.deadline = deadline
         self.worker_id = worker_id
         self.static = StaticCache(capacity=static_capacity)
@@ -167,7 +165,6 @@ class KernelRunner:
             scout = GPUscout(
                 analyses=all_analyses() if req.extended else None,
                 spec=arch_spec(req.arch),
-                fast=self.fast,
             )
             self._scouts[key] = scout
         return scout
@@ -176,7 +173,6 @@ class KernelRunner:
     def _run(self, req: AnalyzeRequest) -> dict:
         from repro.core.jsonout import report_to_dict
         from repro.gpu.budget import SimBudget
-        from repro.gpu.simulator import resolve_fast_mode
 
         kernel, config, args, textures, sass_text = self._resolve(req)
         spec = arch_spec(req.arch)
@@ -188,10 +184,7 @@ class KernelRunner:
                 "max_blocks": req.max_blocks,
             },
             spec=spec,
-            extras={
-                "dry_run": req.dry_run, "extended": req.extended,
-                "fast": resolve_fast_mode(self.fast),
-            },
+            extras={"dry_run": req.dry_run, "extended": req.extended},
         )
 
         corrupted = False

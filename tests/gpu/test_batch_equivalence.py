@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import resolve_kernel
 from repro.cudalite import KernelBuilder, compile_kernel, f32, i32, ptr
-from repro.gpu.simulator import LaunchConfig, Simulator, resolve_fast_mode
+from repro.gpu.simulator import LaunchConfig, Simulator
 
 # every case-study family from the paper, two grid sizes each
 CASES = [
@@ -103,21 +103,3 @@ class TestDivergenceFallback:
                            max_blocks=1, functional_all=True)
             counts.append(r.counters.inst_functional)
         assert counts[0] == counts[1] > 0
-
-
-class TestFastModeResolution:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "0")
-        assert resolve_fast_mode(True) is True
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert resolve_fast_mode(False) is False
-
-    def test_env_disables(self, monkeypatch):
-        for value in ("0", "false", "OFF", "no"):
-            monkeypatch.setenv("REPRO_FAST", value)
-            assert resolve_fast_mode() is False
-
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert resolve_fast_mode() is True
-        assert Simulator().fast is True

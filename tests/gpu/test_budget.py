@@ -130,7 +130,7 @@ class TestDegradationLadder:
     def test_timed_failure_demotes_to_functional(self, saxpy_ck):
         # both timed rungs die -> the functional rung still runs and
         # the report says so
-        scout = GPUscout(spec=GPUSpec.small(1), fast=True)
+        scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("scheduler.run_wave_trace", SimulationError) as t, \
                 fail_at("scheduler.run_wave", SimulationError) as w:
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())

@@ -233,7 +233,9 @@ class TestSessionWarmCaches:
         order or the *second* launch diverges."""
         per_mode = {}
         for fast in (False, True):
-            sess = DeviceSession(fast=fast)
+            sess = DeviceSession()
+            if not fast:
+                sess.sim = Simulator(sess.spec, fast=False)  # the oracle
             ck, config, args, _ = resolve_kernel("sgemm:naive", 64, 4)
             # upload once and reuse the handles, so the second launch
             # touches the same addresses the first one warmed

@@ -27,7 +27,7 @@ def _resolve(spec="sgemm:naive", size=64):
 
 def _launch(resolved, **kw):
     ck, config, args, textures = resolved
-    sim = Simulator(fast=True)
+    sim = Simulator()
     return sim.launch(ck, config, args, textures=textures,
                       max_blocks=2, functional_all=True, **kw)
 
@@ -64,13 +64,13 @@ class TestWarmReplay:
 
     def test_mutated_input_misses(self, cache):
         ck, config, args, textures = resolve_kernel("sgemm:naive", 64, 4)
-        Simulator(fast=True).launch(ck, config, args, textures=textures,
-                                    max_blocks=2, functional_all=True)
+        Simulator().launch(ck, config, args, textures=textures,
+                           max_blocks=2, functional_all=True)
         hits_before = cache.hits
         args2 = {k: (v + 1 if isinstance(v, np.ndarray) else v)
                  for k, v in args.items()}
-        Simulator(fast=True).launch(ck, config, args2, textures=textures,
-                                    max_blocks=2, functional_all=True)
+        Simulator().launch(ck, config, args2, textures=textures,
+                           max_blocks=2, functional_all=True)
         assert cache.hits == hits_before, (
             "launch against mutated buffers replayed a stale trace"
         )
@@ -180,7 +180,7 @@ class TestPayloadAccounting:
         total = 0
         for spec, size, max_blocks in ENGINE_CLASSES:
             ck, config, args, textures = resolve_kernel(spec, size, 4)
-            Simulator(fast=True).launch(
+            Simulator().launch(
                 ck, config, args, textures=textures, max_blocks=max_blocks,
                 functional_all=False)
         stats = cache.stats()

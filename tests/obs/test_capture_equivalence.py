@@ -118,7 +118,7 @@ class TestCaptureMechanics:
         ck, config, args, textures = resolve_kernel(
             "histogram:global", 2048, 4)
         capture = TimelineCapture()
-        sim = Simulator(GPUSpec.small(1), fast=True)
+        sim = Simulator(GPUSpec.small(1))
         sim.launch(ck, config, args, textures=textures,
                    max_blocks=2, functional_all=True, trace=capture)
         warps = capture.warps()

@@ -26,9 +26,7 @@ def saxpy_trace():
     ck = build_saxpy()
     n = 512
     capture = TimelineCapture(counter_stride=8)
-    # pin the trace-driven path so the golden event names are stable
-    # across the REPRO_FAST matrix legs
-    sim = Simulator(GPUSpec.small(1), fast=True)
+    sim = Simulator(GPUSpec.small(1))
     res = sim.launch(
         ck, LaunchConfig(grid=(4, 1), block=(128, 1)),
         args={"x": np.arange(n, dtype=np.float32),

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.core import GPUscout
-from repro.errors import AnalysisError, MetricError, SimulationError
+from repro.errors import SimulationError
 from repro.gpu import GPUSpec, LaunchConfig
 from repro.obs import TimelineCapture, to_chrome_trace, validate_chrome_trace
 from repro.testing import fail_at, fail_points
 
 from tests.conftest import LOOP_SASS, build_saxpy
+from tests.test_chaos import SCENARIOS, assert_reached_through_ladder
 
 N = 512
 CONFIG = LaunchConfig(grid=(4, 1), block=(128, 1))
@@ -35,27 +36,6 @@ def saxpy_args():
         "a": 2.0,
         "n": N,
     }
-
-
-#: how to reach each site (mirrors tests/test_chaos.py's scenarios)
-SCENARIOS = {
-    "parser.program": dict(kind="sass"),
-    "parser.instruction": dict(kind="sass"),
-    "executor.step": dict(fast=False, exc=SimulationError),
-    "caches.l2_lookup": dict(fast=True, exc=SimulationError),
-    "scheduler.run_wave": dict(fast=False, exc=SimulationError),
-    "scheduler.run_wave_trace": dict(fast=True, exc=SimulationError),
-    "trace.build": dict(fast=True, exc=SimulationError),
-    "batch.functional": dict(
-        fast=True, exc=SimulationError,
-        also_arm=["scheduler.run_wave_trace", "scheduler.run_wave"],
-    ),
-    "simulator.launch": dict(fast=True, exc=SimulationError),
-    "sampler.sample": dict(fast=True, exc=SimulationError),
-    "metrics.collect": dict(fast=True, exc=MetricError),
-    "engine.analysis": dict(fast=True, exc=AnalysisError),
-    "engine.predictions": dict(fast=True, exc=AnalysisError),
-}
 
 
 def test_scenarios_cover_every_fail_point():
@@ -79,7 +59,7 @@ def test_trace_and_profile_survive_every_fault(site, saxpy_ck):
     else:
         from contextlib import ExitStack
 
-        scout = GPUscout(spec=GPUSpec.small(1), fast=scenario["fast"])
+        scout = GPUscout(spec=GPUSpec.small(1))
         with ExitStack() as stack:
             for extra in scenario.get("also_arm", []):
                 stack.enter_context(fail_at(extra, SimulationError))
@@ -87,6 +67,7 @@ def test_trace_and_profile_survive_every_fault(site, saxpy_ck):
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                    max_blocks=2, trace=capture)
     assert fp.triggered >= 1, f"fail-point {site} never reached"
+    assert_reached_through_ladder(scenario, report)
 
     # partial report is well-formed, and the profiler covered the
     # stages that ran (parse and static always run)
@@ -118,7 +99,7 @@ class TestRetryAttribution:
         """Satellite: wall time spent on a failed degradation-ladder
         rung is attributed to a ``launch:retry`` span naming the rung,
         and the winning rung's span keeps its own name."""
-        scout = GPUscout(spec=GPUSpec.small(1), fast=True)
+        scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("scheduler.run_wave_trace", SimulationError):
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                    max_blocks=2)
@@ -141,7 +122,7 @@ class TestRetryAttribution:
         engine's mark/reset_to rollback a stale note would survive into
         the winning legacy rung's capture."""
         capture = TimelineCapture()
-        scout = GPUscout(spec=GPUSpec.small(1), fast=True)
+        scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("scheduler.run_wave_trace", SimulationError) as fp:
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                    max_blocks=2, trace=capture)

@@ -77,8 +77,8 @@ class TestTraceCostCounters:
         rk = resolve_kernel("sgemm:naive", 64, 4)
         trace_cache().clear()
         ck, config, args, textures = rk
-        return [GPUscout(fast=True).analyze(ck, config, args,
-                                            textures=textures, max_blocks=2)
+        return [GPUscout().analyze(ck, config, args,
+                                   textures=textures, max_blocks=2)
                 for _ in range(2)]
 
     @staticmethod

@@ -1,14 +1,10 @@
 """Per-opcode latency table and control-code assignment."""
 
-import pytest
-
-from repro.gpu.config import GPUSpec
 from repro.sass import parse_sass
 from repro.sass.latency import (
     MAX_STALL,
     NUM_BARRIERS,
     OPCODE_LATENCY,
-    LatencyModel,
     assign_control_codes,
     op_latency,
 )
@@ -148,48 +144,3 @@ class TestControlCodes:
         assert len(widths) == 1
         assert "WR0" in codes[0].render()
         assert "000001" in codes[1].render()
-
-
-class TestLatencyModel:
-    @pytest.fixture(scope="class")
-    def program(self):
-        return parse_sass(
-            "MOV R1, R2 ;\n"
-            "DADD R2, R4, R6 ;\n"
-            "MUFU.RCP R8, R9 ;\n"
-            "LDG.E.SYS R10, [R2] ;\n"
-            "EXIT ;\n"
-        )
-
-    def test_spec_mode_reproduces_uniform_defaults(self, program):
-        spec = GPUSpec.v100()
-        m = LatencyModel(program, spec, mode="spec")
-        assert m.issue_costs == [
-            float(spec.issue_default), float(spec.issue_fp64),
-            float(spec.issue_mufu), float(spec.issue_default),
-            float(spec.issue_default),
-        ]
-        assert m.dep_latencies == [
-            float(spec.lat_alu), float(spec.lat_fp64),
-            float(spec.lat_mufu), float(spec.lat_alu),
-            float(spec.lat_alu),
-        ]
-
-    def test_table_mode_resolves_per_opcode(self, program):
-        spec = GPUSpec.v100()
-        m = LatencyModel(program, spec)
-        assert m.mode == "table"
-        assert m.issue_costs[1] == 2.0  # DADD: half-rate fp64
-        assert m.issue_costs[2] == 4.0  # MUFU: quarter-rate
-        assert m.dep_latencies[0] == 4.0  # MOV from the table
-        # MUFU result is variable latency: falls back to the spec value
-        assert m.dep_latencies[2] == float(spec.lat_mufu)
-
-    def test_signatures_distinguish_modes(self, program):
-        spec = GPUSpec.v100()
-        assert (LatencyModel(program, spec, mode="spec").signature()
-                != LatencyModel(program, spec, mode="table").signature())
-
-    def test_unknown_mode_rejected(self, program):
-        with pytest.raises(ValueError):
-            LatencyModel(program, GPUSpec.v100(), mode="exotic")

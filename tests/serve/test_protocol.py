@@ -122,7 +122,10 @@ class TestContentAddressSensitivity:
         assert spec_fingerprint(mutated) != spec_fingerprint(base)
 
     def test_extras_and_schema_enter_the_address(self, monkeypatch):
-        assert addr(extras={"fast": True}) != addr(extras={"fast": False})
+        assert (addr(extras={"extended": True})
+                != addr(extras={"extended": False}))
+        assert (addr(extras={"dry_run": True})
+                != addr(extras={"dry_run": False}))
         before = addr()
         import repro.core.jsonout as jo
 

@@ -4,10 +4,9 @@ report — findings from the surviving stages, at least one diagnostic
 naming the failure, valid schema-v3 JSON, and renderable text/HTML.
 
 Scenario notes: the fail-points live on different execution paths, so
-each one pins the engine configuration that reaches it (``fast`` picks
-the trace-driven vs legacy timed path; ``dry_run`` reaches the parser
+each one pins how the engine reaches it (``dry_run`` reaches the parser
 sites; ``also_arm`` sinks the upper degradation-ladder rungs so the
-functional-only rung actually executes).
+timed-legacy or functional-only rung actually executes).
 """
 
 import json
@@ -50,20 +49,24 @@ def saxpy_args():
 SCENARIOS = {
     "parser.program": dict(kind="sass"),
     "parser.instruction": dict(kind="sass"),
-    "executor.step": dict(fast=False, exc=SimulationError),
-    "caches.l2_lookup": dict(fast=True, exc=SimulationError),
-    "scheduler.run_wave": dict(fast=False, exc=SimulationError),
-    "scheduler.run_wave_trace": dict(fast=True, exc=SimulationError),
-    "trace.build": dict(fast=True, exc=SimulationError),
+    "executor.step": dict(
+        exc=SimulationError, also_arm=["scheduler.run_wave_trace"],
+    ),
+    "caches.l2_lookup": dict(exc=SimulationError),
+    "scheduler.run_wave": dict(
+        exc=SimulationError, also_arm=["scheduler.run_wave_trace"],
+    ),
+    "scheduler.run_wave_trace": dict(exc=SimulationError),
+    "trace.build": dict(exc=SimulationError),
     "batch.functional": dict(
-        fast=True, exc=SimulationError,
+        exc=SimulationError,
         also_arm=["scheduler.run_wave_trace", "scheduler.run_wave"],
     ),
-    "simulator.launch": dict(fast=True, exc=SimulationError),
-    "sampler.sample": dict(fast=True, exc=SimulationError),
-    "metrics.collect": dict(fast=True, exc=MetricError),
-    "engine.analysis": dict(fast=True, exc=AnalysisError),
-    "engine.predictions": dict(fast=True, exc=AnalysisError),
+    "simulator.launch": dict(exc=SimulationError),
+    "sampler.sample": dict(exc=SimulationError),
+    "metrics.collect": dict(exc=MetricError),
+    "engine.analysis": dict(exc=AnalysisError),
+    "engine.predictions": dict(exc=AnalysisError),
 }
 
 
@@ -74,7 +77,7 @@ def _run_scenario(site, scenario, saxpy_ck):
         with fail_at(site, exc) as fp:
             report = scout.analyze(LOOP_SASS, dry_run=True)
         return fp, report
-    scout = GPUscout(spec=GPUSpec.small(1), fast=scenario["fast"])
+    scout = GPUscout(spec=GPUSpec.small(1))
     from contextlib import ExitStack
 
     with ExitStack() as stack:
@@ -84,6 +87,16 @@ def _run_scenario(site, scenario, saxpy_ck):
         report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                max_blocks=2)
     return fp, report
+
+
+def assert_reached_through_ladder(scenario, report):
+    """A site below the trace-driven rung is reached by the ladder
+    demoting onto it, never by a caller's option: the demotion must be
+    on record."""
+    if "scheduler.run_wave_trace" in scenario.get("also_arm", []):
+        assert any(d.detail.get("rung") == "timed-trace"
+                   and d.detail.get("fallback") == "timed-legacy"
+                   for d in report.diagnostics)
 
 
 def test_every_fail_point_has_a_scenario():
@@ -99,6 +112,7 @@ def test_single_point_failure_yields_partial_report(site, saxpy_ck):
 
     # the injection actually fired, exactly where we armed it
     assert fp.triggered >= 1, f"fail-point {site} never reached"
+    assert_reached_through_ladder(SCENARIOS[site], report)
 
     # a well-formed report came back regardless
     assert report.kernel
@@ -147,7 +161,7 @@ class TestChaosDetails:
 
     def test_persistent_failure_exhausts_the_ladder(self, saxpy_ck):
         # times=None: the component is broken on *every* rung
-        scout = GPUscout(spec=GPUSpec.small(1), fast=True)
+        scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("simulator.launch", SimulationError,
                      times=None) as fp:
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
@@ -198,7 +212,7 @@ class TestChaosDetails:
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        scout = GPUscout(spec=GPUSpec.small(1), fast=True)
+        scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("simulator.launch", SimulationError):
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
         assert report.diagnostics

@@ -1,0 +1,48 @@
+"""The settable surface is a closed list: a new environment variable or
+an engine/timing-model flag has to be added here on purpose.
+
+Which engine executes a launch and how it is timed are things the code
+observes (``batchable()`` / ``timed_batchable()`` on the decoded
+program, the degradation ladder on a failure) — never something a
+caller, a CLI flag or the environment sets.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from repro.cli import build_parser
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+ENV_VARS = {
+    "REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_DIR", "REPRO_TRACE_CACHE_MB",
+    "REPRO_METRICS", "REPRO_LOG", "REPRO_LOG_LEVEL",
+}
+
+
+def test_env_vars_read_by_src_are_exactly_the_documented_set():
+    found = set()
+    for path in (REPO / "src").rglob("*.py"):
+        found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert found == ENV_VARS
+    readme = (REPO / "README.md").read_text()
+    undocumented = {v for v in ENV_VARS if f"`{v}`" not in readme}
+    assert not undocumented
+
+
+@pytest.mark.parametrize("command", ["analyze", "serve"])
+@pytest.mark.parametrize("flag", ["--fast", "--latency-table"])
+def test_no_engine_or_timing_model_flag(command, flag, capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as helped:
+        parser.parse_args([command, "--help"])
+    assert helped.value.code == 0
+    assert flag not in capsys.readouterr().out
+    argv = [command, flag]
+    if command == "analyze":
+        argv += ["--kernel", "sgemm:naive"]
+    with pytest.raises(SystemExit) as rejected:
+        parser.parse_args(argv)
+    assert rejected.value.code == 2
