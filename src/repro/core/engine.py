@@ -389,7 +389,7 @@ class GPUscout:
                     try:
                         fail_point("engine.predictions")
                         self._attach_predictions(
-                            findings, ctx, compiled, config, launch
+                            findings, ctx, compiled, config, launch, prof
                         )
                     except Exception as exc:
                         note("evaluate", "engine.predictions", exc,
@@ -407,6 +407,7 @@ class GPUscout:
                             blame = {}
                             note("evaluate", "engine.blame", exc,
                                  program=program)
+                    prof.count("blame_pcs", len(blame))
                     for finding in findings:
                         pcs = set(finding.pcs)
                         finding.blame = [
@@ -681,6 +682,7 @@ class GPUscout:
         compiled: CompiledKernel,
         config: Optional[LaunchConfig],
         launch: LaunchResult,
+        prof: Profiler,
     ) -> None:
         """Fill each finding's ``predicted``/``measured`` dicts.
 
@@ -688,7 +690,9 @@ class GPUscout:
         ``predicted`` from the launch-aware affine predictor (which may
         sharpen a launch-free prediction an analysis attached earlier).
         Only the finding's own memory-access PCs are considered, so the
-        two dicts compare the same accesses."""
+        two dicts compare the same accesses.  The enclosing span gets
+        ``pred_pcs`` (accesses predicted) and ``pred_rows`` (the (block,
+        warp) rows each of them evaluated in one pass)."""
         from repro.sass.affine import (
             _GLOBAL_CLASSES,
             _SHARED_CLASSES,
@@ -713,6 +717,7 @@ class GPUscout:
             ctx.program, ctx.cfg, affine, config, spec, blocks=list(blocks)
         )
         counters = launch.counters
+        predicted = 0
         for finding in findings:
             for classes, key, by_pc in (
                 (_GLOBAL_CLASSES, "sectors_per_request",
@@ -734,6 +739,7 @@ class GPUscout:
                     )
                 total = weight = 0.0
                 unproven: list[int] = []
+                predicted += len(pcs)
                 for pc in pcs:
                     pred = predictor.predict(pc)
                     if pred.proven:
@@ -750,6 +756,8 @@ class GPUscout:
                     finding.predicted.setdefault(
                         "unproven_pcs", []
                     ).extend(unproven)
+        prof.count("pred_pcs", predicted)
+        prof.count("pred_rows", predictor.rows)
 
     # ------------------------------------------------------------------
     @staticmethod

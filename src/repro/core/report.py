@@ -230,12 +230,15 @@ def render_profile(report) -> list[str]:
         lines.append(
             f"  {span.name:<24s} {span.elapsed_s*1e3:8.2f} ms {pct:5.1f} %"
         )
-    launch = next((s for s in prof.spans if s.name == "launch"), None)
-    if launch is not None and launch.counters:
-        # what the launch spent on effect traces (build, cache put, hits)
-        lines.append("[prof] launch: " + " | ".join(
-            f"{k} {v*1e3:.2f} ms" if isinstance(v, float) else f"{k} {v}"
-            for k, v in launch.counters.items()))
+    # the counters that explain a stage's cost: what the launch spent on
+    # effect traces (build, cache put, hits), how many accesses the
+    # predictor evaluated over how many rows, how many PCs were sliced
+    for name in ("launch", "evaluate:predictions", "evaluate:blame"):
+        span = next((s for s in prof.spans if s.name == name), None)
+        if span is not None and span.counters:
+            lines.append(f"[prof] {name}: " + " | ".join(
+                f"{k} {v*1e3:.2f} ms" if isinstance(v, float) else f"{k} {v}"
+                for k, v in span.counters.items()))
     heatmap = getattr(report, "heatmap", None)
     if heatmap is not None and heatmap.lines:
         lines.append("[prof] hottest source lines (simulated stall cycles)")

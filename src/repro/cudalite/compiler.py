@@ -27,7 +27,9 @@ Code-generation strategy notes (what makes the SASS look like nvcc's):
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -98,13 +100,23 @@ class CompiledKernel:
     def name(self) -> str:
         return self.kernel.name
 
-    @property
+    # The renderings are pure functions of the fields, which nothing
+    # mutates after compile_kernel; ``dataclasses.replace`` builds a new
+    # object and so renders afresh.
+
+    @cached_property
     def sass_text(self) -> str:
         from repro.sass.writer import format_program
 
         return format_program(self.program)
 
-    @property
+    @cached_property
+    def sass_sha256(self) -> str:
+        """Hex SHA-256 of :attr:`sass_text`: the program term of the
+        trace-cache launch key and of both serve addresses."""
+        return hashlib.sha256(self.sass_text.encode()).hexdigest()
+
+    @cached_property
     def ptx_text(self) -> str:
         """The kernel rendered at the PTX stage (paper §2.1's first
         transformation; re-derived from the source kernel)."""

@@ -179,8 +179,9 @@ class BatchEngine:
         #: entries resumed when the current subgroup runs dry.  Only
         #: populated when an emitter is attached (see :meth:`_branch`).
         self._worklist: list[tuple[np.ndarray, int]] = []
+        #: plain functions, called with ``self`` (see Executor._handlers)
         self._handlers: list[Optional[Callable]] = [
-            getattr(self, "_b_" + d.hname, None) if d.hname else None
+            getattr(type(self), "_b_" + d.hname, None) if d.hname else None
             for d in self.decoded.table
         ]
 
@@ -653,7 +654,7 @@ class BatchEngine:
                         f"unimplemented opcode {ins.opcode.name} "
                         f"at {ins.offset:#x}"
                     )
-                handler(pack, dec, guard)
+                handler(self, pack, dec, guard)
                 pack.pc = pc + 1
         return insts, None
 

@@ -9,7 +9,7 @@ transfers, *transactions* count shared-memory wavefronts.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.gpu.stalls import StallReason
 
@@ -138,9 +138,13 @@ class Counters:
         """A copy with every extensive counter multiplied by ``factor``
         (used to extrapolate a sampled-block simulation to the full
         grid).  Ratios (hit rates, stall shares) are invariant."""
-        import copy
-
-        out = copy.deepcopy(self)
+        # every dict is keyed by ints, strings or (int, StallReason)
+        # tuples and holds numbers: a shallow per-dict copy shares
+        # nothing mutable (and keeps the defaultdict factories)
+        out = replace(self)
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                setattr(out, name, value.copy())
         if factor == 1.0:
             return out
         for name in (

@@ -223,9 +223,13 @@ class Executor:
         self.textures = textures
         #: shared predecode table (also consumed by the batched engine)
         self.decoded = predecode(self.program)
-        #: per-PC bound handlers, resolved once (no per-step dispatch)
+        #: per-PC handlers, resolved once (no per-step dispatch).  Plain
+        #: functions, not bound methods: a table of bound methods is a
+        #: reference cycle through ``self``, and it kept every launch's
+        #: device image alive until a full garbage collection
         self._handlers = [
-            getattr(self, "_op_" + d.hname) if d.hname is not None else None
+            getattr(type(self), "_op_" + d.hname)
+            if d.hname is not None else None
             for d in self.decoded.table
         ]
         #: (const_off, negated, domain) -> frozen 32-lane broadcast row
@@ -359,7 +363,7 @@ class Executor:
             p = warp.preds[dec.pred]
             guard &= (~p if dec.pred_neg else p)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            effect = handler(warp, dec, guard)
+            effect = handler(self, warp, dec, guard)
         if effect.kind not in ("branch", "exit"):
             warp.pc += 1
         return effect

@@ -293,7 +293,7 @@ class TraceCache:
         buf = mem.buf
         return (
             id(compiled),
-            hashlib.sha256(compiled.sass_text.encode()).hexdigest(),
+            compiled.sass_sha256,
             config.grid, config.block,
             tuple(sorted(param_values.items())),
             tuple(sorted(

@@ -263,13 +263,19 @@ class ReachingDefinitions:
         # gen[b]: register key -> last definition index in the block
         gen: list[dict[tuple[int, bool], int]] = [dict() for _ in range(n)]
         defined: set[tuple[int, bool]] = set()
+        #: instruction index -> register keys it defines; the in-block
+        #: part of a query walks these back from the query index
+        self._def_keys: list[tuple[tuple[int, bool], ...]] = \
+            [()] * len(program)
         for blk in cfg.blocks:
             g = gen[blk.bid]
             for i in range(blk.start, blk.end):
-                for reg in program[i].dest_registers():
-                    key = (reg.index, reg.predicate)
+                keys = tuple((reg.index, reg.predicate)
+                             for reg in program[i].dest_registers())
+                self._def_keys[i] = keys
+                for key in keys:
                     g[key] = i
-                    defined.add(key)
+                defined.update(keys)
         self._gen = gen
         ins: list[dict[tuple[int, bool], frozenset[int]]] = [
             dict() for _ in range(n)
@@ -300,17 +306,21 @@ class ReachingDefinitions:
                     changed = True
         self._in = ins
 
-    def defs_at(self, reg: Register, index: int) -> tuple[int, ...]:
+    def _reaching(self, reg: Register, index: int,
+                  stop: int) -> tuple[int, ...]:
+        """Definitions of ``reg`` live after instruction ``stop - 1`` of
+        the block holding ``index``: the closest in-block definition
+        below ``stop``, else what reaches the block's entry."""
         blk = self.cfg.block_of_instruction(index)
         key = (reg.index, reg.predicate)
-        last = None
-        for i in range(blk.start, min(index, blk.end - 1) + 1):
-            for dreg in self.program[i].dest_registers():
-                if (dreg.index, dreg.predicate) == key:
-                    last = i
-        if last is not None:
-            return (last,)
+        def_keys = self._def_keys
+        for i in range(stop - 1, blk.start - 1, -1):
+            if key in def_keys[i]:
+                return (i,)
         return tuple(sorted(self._in[blk.bid].get(key, _LIVE_IN)))
+
+    def defs_at(self, reg: Register, index: int) -> tuple[int, ...]:
+        return self._reaching(reg, index, index + 1)
 
     def defs_before(self, reg: Register, index: int) -> tuple[int, ...]:
         """Definitions of ``reg`` reaching the *input* of instruction
@@ -318,16 +328,7 @@ class ReachingDefinitions:
         value read there is the one produced earlier in the block, on
         another path, or — for loop-carried dependences — on a previous
         iteration, where the defining index compares ``>= index``)."""
-        blk = self.cfg.block_of_instruction(index)
-        key = (reg.index, reg.predicate)
-        last = None
-        for i in range(blk.start, index):
-            for dreg in self.program[i].dest_registers():
-                if (dreg.index, dreg.predicate) == key:
-                    last = i
-        if last is not None:
-            return (last,)
-        return tuple(sorted(self._in[blk.bid].get(key, _LIVE_IN)))
+        return self._reaching(reg, index, index)
 
 
 # -- abstract interpretation ------------------------------------------------
@@ -943,6 +944,11 @@ class MemoryPredictor:
     given), every warp of each block and every lane of each warp, and
     reuses the simulator's own coalescing/bank model — a *proven*
     prediction is therefore exact, not approximate.
+
+    All ``len(blocks) × len(warps)`` warps are evaluated together: every
+    lane quantity is a ``(rows, 32)`` array with the rows in (block,
+    warp) order, and a prediction that cannot be proven reports the
+    reason the first row in that order fails with.
     """
 
     def __init__(self, program: Program, cfg: ControlFlowGraph,
@@ -963,68 +969,68 @@ class MemoryPredictor:
                 blocks = range(0, 1)
         self.blocks = list(blocks)
         bx, by = config.block
-        self._bx, self._by = bx, by
         nthreads = bx * by
-        self._warps = []
-        for w in range(-(-nthreads // 32)):
-            linear = w * 32 + np.arange(32)
-            valid = linear < nthreads
-            linear = np.minimum(linear, nthreads - 1)
-            self._warps.append(
-                (linear % bx, linear // bx, valid)
-            )
-        #: predicated EXITs and the blocks of unpredicated EXIT/RET
-        self._pred_exits: list[int] = []
+        nwarps = -(-nthreads // 32)
+        linear = np.arange(nwarps * 32, dtype=np.int64).reshape(nwarps, 32)
+        valid = linear < nthreads
+        linear = np.minimum(linear, nthreads - 1)
+        nblocks = len(self.blocks)
+        bids = np.repeat(np.asarray(self.blocks, dtype=np.int64), nwarps)
+        gx = config.grid[0]
+        #: (block, warp) rows one :meth:`predict` evaluates
+        self.rows = nblocks * nwarps
+        self._shape = (self.rows, 32)
+        self._valid = np.tile(valid, (nblocks, 1))
+        #: dim -> per-lane values, (rows, 32) or a broadcastable column
+        self._lanes = {
+            "tid.x": np.tile(linear % bx, (nblocks, 1)),
+            "tid.y": np.tile(linear // bx, (nblocks, 1)),
+            "tid.z": np.int64(0),
+            "laneid": np.arange(32, dtype=np.int64),
+            "ctaid.x": (bids % gx)[:, None],
+            "ctaid.y": (bids // gx)[:, None],
+            "ctaid.z": np.int64(0),
+        }
+        #: predicated EXITs as (index, block id, guard, lane mask of the
+        #: guard or None) and the blocks of unpredicated EXIT/RET
+        self._pred_exits: list[tuple] = []
         self._final_exit_blocks: set[int] = set()
         for i, ins in enumerate(program):
             if ins.opcode.base in ("EXIT", "RET"):
+                bid = cfg.block_of_instruction(i).bid
                 if ins.pred is not None and not ins.pred.is_zero:
-                    self._pred_exits.append(i)
+                    ge = affine.guard_expr(i)
+                    self._pred_exits.append(
+                        (i, bid, ge, self._pred_lanes(ge)))
                 else:
-                    self._final_exit_blocks.add(
-                        cfg.block_of_instruction(i).bid
-                    )
+                    self._final_exit_blocks.add(bid)
 
     # -- lane evaluation -----------------------------------------------
-    def _lane_env(self, bid: int, warp: int):
-        gx = self.config.grid[0]
-        tidx, tidy, valid = self._warps[warp]
-        return {
-            "tid.x": tidx,
-            "tid.y": tidy,
-            "tid.z": np.zeros(32, dtype=np.int64),
-            "laneid": np.arange(32),
-            "ctaid.x": bid % gx,
-            "ctaid.y": bid // gx,
-            "ctaid.z": 0,
-        }, valid
-
-    @staticmethod
-    def _eval_affine(v: Affine, lanes: dict) -> Optional[np.ndarray]:
-        out = np.full(32, v.const, dtype=np.int64)
+    def _eval_affine(self, v: Affine) -> Optional[np.ndarray]:
+        out = np.full(self._shape, v.const, dtype=np.int64)
         for d, c in v.terms:
-            if d not in lanes:
+            if d not in self._lanes:
                 return None
-            out = out + c * np.asarray(lanes[d], dtype=np.int64)
+            out += c * self._lanes[d]
         return out
 
-    def _eval_pred(self, e: PredExpr, lanes: dict) -> Optional[np.ndarray]:
-        """Per-lane truth of ``e`` in a concrete (block, warp) context;
-        None when a term cannot be evaluated (then interval proofs are
-        the fallback)."""
+    def _eval_pred(self, e: PredExpr) -> Optional[np.ndarray]:
+        """Per-lane truth of ``e`` in every (block, warp) context; None
+        when a term cannot be evaluated (then interval proofs are the
+        fallback)."""
         if isinstance(e, bool):
-            return np.full(32, e)
+            return np.full(self._shape, e)
         if isinstance(e, NotExpr):
-            inner = self._eval_pred(e.expr, lanes)
+            inner = self._eval_pred(e.expr)
             return None if inner is None else ~inner
         if isinstance(e, (OrExpr, AndExpr)):
-            a = self._eval_pred(e.a, lanes)
-            b = self._eval_pred(e.b, lanes)
+            a = self._eval_pred(e.a)
+            b = self._eval_pred(e.b)
             if a is None or b is None:
                 return None
             return (a | b) if isinstance(e, OrExpr) else (a & b)
-        lhs = self._eval_affine(e.lhs, lanes)
-        rhs = self._eval_affine(e.rhs, lanes)
+        lhs = self._eval_affine(e.lhs)
+        rhs = self._eval_affine(e.rhs)
         if lhs is None or rhs is None:
             return None
         if e.unsigned:
@@ -1035,30 +1041,36 @@ class MemoryPredictor:
             "GE": lhs >= rhs, "EQ": lhs == rhs, "NE": lhs != rhs,
         }[e.op]
 
-    def _pred_lanes(self, e: Optional[PredExpr],
-                    lanes: dict) -> Optional[np.ndarray]:
-        """Lane mask of ``e``: exact evaluation first, interval proof
+    def _pred_lanes(self, e: Optional[PredExpr]) -> Optional[np.ndarray]:
+        """Lane masks of ``e``: exact evaluation first, interval proof
         as fallback; None when neither settles it."""
         if e is None:
             return None
-        m = self._eval_pred(e, lanes)
+        m = self._eval_pred(e)
         if m is not None:
             return m
         proof = pred_proof(e, self.affine.env)
         if proof is not None:
-            return np.full(32, proof)
+            return np.full(self._shape, proof)
         return None
 
     # -- the predictor -------------------------------------------------
     def predict(self, index: int) -> Prediction:
+        from repro.gpu.coalesce import (
+            coalesce_sector_counts,
+            shared_transaction_counts,
+        )
+
         ins = self.program[index]
         oc = ins.opcode.op_class
         if oc in _GLOBAL_CLASSES:
             space = "global"
             period = 32  # sector size: alignment period of the count
+            count = coalesce_sector_counts
         elif oc in _SHARED_CLASSES:
             space = "shared"
             period = 32 * 4  # banks * bank bytes
+            count = shared_transaction_counts
         else:
             return Prediction("", False, reason="not a global/shared access")
 
@@ -1091,91 +1103,84 @@ class MemoryPredictor:
         access_block = self.cfg.block_of_instruction(index).bid
         in_loop = self.cfg.in_loop(index)
 
-        counts: list[int] = []
-        for bid in self.blocks:
-            for w in range(len(self._warps)):
-                lanes, valid = self._lane_env(bid, w)
-                survivors = valid.copy()
-                # predicated early exits
-                for e in self._pred_exits:
-                    eb = self.cfg.block_of_instruction(e).bid
-                    pre = (eb == access_block and e < index) or (
-                        eb != access_block
-                        and self.cfg.dominates(eb, access_block)
-                    )
-                    ge = self.affine.guard_expr(e)
-                    em = self._pred_lanes(ge, lanes)
-                    if pre:
-                        if em is None:
-                            return unproven(
-                                "early-exit guard not evaluable"
-                            )
-                        survivors &= ~em
-                    else:
-                        # an exit off the dominating path must be
-                        # provably dead, else reachability is unknown
-                        if em is None or em.any():
-                            if pred_proof(ge, self.affine.env) is False:
-                                continue
-                            return unproven(
-                                "conditional EXIT outside the "
-                                "dominating path"
-                            )
-                if not survivors.any():
-                    continue  # the whole warp retired before the access
-                if guard is True:
-                    gm = np.full(32, True)
+        # The checks below run in a fixed order (exits in listing
+        # order, guard, alignment) on every row at once.  ``failed[r]``
+        # indexes the reason of the first check row ``r`` fails; the
+        # prediction is unproven with the reason of the first failing
+        # row.
+        reasons: list[str] = []
+        failed = np.full(self.rows, -1)
+
+        def fail(rows, reason: str) -> None:
+            failed[(failed < 0) & rows] = len(reasons)
+            reasons.append(reason)
+
+        survivors = self._valid.copy()
+        # predicated early exits
+        for e, eb, ge, em in self._pred_exits:
+            pre = (eb == access_block and e < index) or (
+                eb != access_block
+                and self.cfg.dominates(eb, access_block)
+            )
+            if pre:
+                if em is None:
+                    fail(True, "early-exit guard not evaluable")
                 else:
-                    gm = self._pred_lanes(guard, lanes)
-                    if gm is None:
-                        return unproven("guard lanes not evaluable")
+                    survivors &= ~em
+            elif em is None or em.any():
+                # an exit off the dominating path must be provably
+                # dead, else reachability is unknown
+                if ge is not None and \
+                        pred_proof(ge, self.affine.env) is False:
+                    continue
+                fail(True if em is None else em.any(axis=1),
+                     "conditional EXIT outside the dominating path")
+        # rows whose whole warp retired before the access issue nothing
+        # and are checked no further
+        alive = survivors.any(axis=1)
+        counts = np.zeros(self.rows, dtype=np.int64)
+        if (failed < 0).any():
+            gm = True if guard is True else self._pred_lanes(guard)
+            if gm is None:
+                fail(alive, "guard lanes not evaluable")
+            else:
+                # a retired row's mask is empty: 0 under every delta
                 mask = survivors & gm
                 base = self._eval_affine(
                     Affine(addr.const,
                            tuple((d, c) for d, c in addr.terms
-                                 if not d.startswith("iv:"))),
-                    lanes,
-                )
-                per_delta = set()
-                for delta in deltas:
-                    per_delta.add(
-                        self._count(base + delta, access_bytes, mask, space)
-                    )
-                if len(per_delta) > 1:
-                    return unproven(
-                        "count depends on loop-iteration alignment"
-                    )
-                counts.append(per_delta.pop())
+                                 if not d.startswith("iv:"))))
+                counts = count(base + deltas[0], access_bytes, mask)
+                varies = np.zeros(self.rows, dtype=bool)
+                for delta in deltas[1:]:
+                    varies |= count(base + delta, access_bytes, mask) != counts
+                fail(varies, "count depends on loop-iteration alignment")
+        bad = np.flatnonzero(failed >= 0)
+        if len(bad):
+            return unproven(reasons[failed[bad[0]]])
+        counts = counts[alive]
 
-        exact = (not in_loop) and self._final_exit_blocks and all(
+        exact = bool((not in_loop) and self._final_exit_blocks and all(
             self.cfg.dominates(access_block, xb)
             for xb in self._final_exit_blocks
-        )
-        if not counts:
-            return Prediction(space, True, 0.0, 0, 0,
-                              exact_requests=bool(exact))
-        if len(set(counts)) == 1:
+        ))
+        requests = len(counts)
+        if not requests:
+            return Prediction(space, True, 0.0, 0, 0, exact_requests=exact)
+        total = int(counts.sum())
+        if (counts == counts[0]).all():
             return Prediction(
-                space, True, float(counts[0]), len(counts),
-                sum(counts), exact_requests=bool(exact),
+                space, True, float(counts[0]), requests, total,
+                exact_requests=exact,
             )
         if exact:
             # warp-varying but issued exactly once per surviving warp:
             # the grid-wide average is still exact
             return Prediction(
-                space, True, sum(counts) / len(counts), len(counts),
-                sum(counts), exact_requests=True, aggregate=True,
+                space, True, total / requests, requests, total,
+                exact_requests=True, aggregate=True,
             )
         return unproven("per-warp counts vary inside a loop")
-
-    @staticmethod
-    def _count(addresses: np.ndarray, access_bytes: int,
-               mask: np.ndarray, space: str) -> int:
-        from repro.gpu.coalesce import coalesce_sectors, shared_transactions
-
-        if space == "global":
-            return int(len(coalesce_sectors(addresses, access_bytes, mask)))
-        return int(shared_transactions(addresses, access_bytes, mask))
 
 
 # -- static (launch-free) access classification -----------------------------

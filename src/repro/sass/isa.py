@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -476,6 +477,23 @@ class Instruction:
         registers starting at the named destination, matching hardware
         register-pair/quad allocation.
         """
+        return list(self._def_use[0])
+
+    def source_registers(self) -> list[Register]:
+        """Architectural registers read by this instruction (with the
+        predicate guard and memory-address bases included)."""
+        return list(self._def_use[1])
+
+    @cached_property
+    def _def_use(self) -> tuple[tuple[Register, ...], tuple[Register, ...]]:
+        """``(dests, sources)``, derived on first use.  An instruction
+        is not mutated once built; ``replace`` constructs a new one,
+        whose ``__dict__`` starts without this entry.  Not a dataclass
+        field, so ``==`` and ``repr`` never see it."""
+        dests = self._derive_dests()
+        return tuple(dests), tuple(self._derive_sources(bool(dests)))
+
+    def _derive_dests(self) -> list[Register]:
         op = self.opcode
         regs: list[Register] = []
         if op.op_class in (
@@ -490,16 +508,14 @@ class Instruction:
             return regs
         if not self.operands:
             return regs
-        first = self.operands[0]
-        if first.kind != "reg" or first.reg is None or first.reg.is_zero:
-            # Setp-style opcodes may write a predicate pair; handled below.
-            pass
         if op.base in ("ISETP", "FSETP", "DSETP"):
+            # setp-style opcodes may write a predicate pair
             for cand in self.operands[:2]:
                 if cand.kind == "reg" and cand.reg is not None and cand.reg.predicate:
                     if not cand.reg.is_zero:
                         regs.append(cand.reg)
             return regs
+        first = self.operands[0]
         if first.kind == "reg" and first.reg is not None and not first.reg.is_zero:
             base_reg = first.reg
             if op.is_memory and op.is_load or op.base in ("ATOM", "ATOMS"):
@@ -511,17 +527,13 @@ class Instruction:
                 regs.append(base_reg)
         return regs
 
-    def source_registers(self) -> list[Register]:
-        """Architectural registers read by this instruction (with the
-        predicate guard and memory-address bases included)."""
+    def _derive_sources(self, has_dest: bool) -> list[Register]:
         op = self.opcode
         regs: list[Register] = []
         if self.pred is not None and not self.pred.is_zero:
             regs.append(self.pred)
-        dest_count = 0
-        if self.dest_registers():
-            # operand 0 (and the predicate pair of SETP) is a dest
-            dest_count = 1
+        # operand 0 (and the predicate pair of SETP) is a dest
+        dest_count = 1 if has_dest else 0
         if op.base in ("ISETP", "FSETP", "DSETP"):
             dest_count = sum(
                 1

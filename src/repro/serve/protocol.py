@@ -195,17 +195,27 @@ def _report_address(payload: dict, spec: GPUSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def content_address(sass_text: str, config, params: Optional[dict],
+def _sass_digest(kernel) -> str:
+    """SHA-256 of a kernel's SASS listing.  Raw text is hashed here; a
+    ``CompiledKernel`` carries the digest of its own rendering, shared
+    with the trace cache's launch key."""
+    if isinstance(kernel, str):
+        return hashlib.sha256(kernel.encode()).hexdigest()
+    return kernel.sass_sha256
+
+
+def content_address(kernel, config, params: Optional[dict],
                     spec: GPUSpec, extras: Optional[dict] = None) -> str:
     """The full (L3) content address of one analysis result.
 
-    Keyed by everything that can influence the report body: SASS text,
-    launch fingerprint (geometry + params), request options that change
-    what is computed (``extras``), and the arch config and schema
-    version :func:`_report_address` adds.
+    Keyed by everything that can influence the report body: SASS text
+    (``kernel`` is that text or a ``CompiledKernel``), launch
+    fingerprint (geometry + params), request options that change what
+    is computed (``extras``), and the arch config and schema version
+    :func:`_report_address` adds.
     """
     return _report_address({
-        "sass": hashlib.sha256(sass_text.encode()).hexdigest(),
+        "sass": _sass_digest(kernel),
         "launch": launch_fingerprint(config, params),
         "extras": _canon(extras or {}),
     }, spec)
@@ -218,12 +228,13 @@ def request_key(req: AnalyzeRequest) -> str:
     return _report_address({"req": req.to_dict()}, arch_spec(req.arch))
 
 
-def static_key(sass_text: str, config, extended: bool) -> str:
-    """The L1 address of one program's static artifacts: SASS text,
-    launch geometry (analyses may fold it into their static results)
-    and the analysis set."""
+def static_key(kernel, config, extended: bool) -> str:
+    """The L1 address of one program's static artifacts: SASS text
+    (``kernel`` as for :func:`content_address`), launch geometry
+    (analyses may fold it into their static results) and the analysis
+    set."""
     payload = {
-        "sass": hashlib.sha256(sass_text.encode()).hexdigest(),
+        "sass": _sass_digest(kernel),
         "grid": list(config.grid) if config is not None else None,
         "block": list(config.block) if config is not None else None,
         "extended": bool(extended),

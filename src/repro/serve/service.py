@@ -134,11 +134,10 @@ class KernelRunner:
 
     # ------------------------------------------------------------------
     def _resolve(self, req: AnalyzeRequest):
-        """(kernel-or-sass, config, args, textures, sass_text) for a
-        validated request; built-in kernels are compiled once per
-        process."""
+        """(kernel-or-sass, config, args, textures) for a validated
+        request; built-in kernels are compiled once per process."""
         if req.sass is not None:
-            return req.sass, None, None, {}, req.sass
+            return req.sass, None, None, {}
         from repro.cli import resolve_kernel
 
         key = (req.kernel, req.size, req.compute_iterations)
@@ -153,8 +152,7 @@ class KernelRunner:
                 self._resolved[key] = hit
                 while len(self._resolved) > self._resolved_capacity:
                     self._resolved.popitem(last=False)
-        ck, config, args, textures = hit
-        return ck, config, args, textures, ck.sass_text
+        return hit
 
     def _scout(self, req: AnalyzeRequest):
         key = (req.arch, req.extended)
@@ -174,10 +172,10 @@ class KernelRunner:
         from repro.core.jsonout import report_to_dict
         from repro.gpu.budget import SimBudget
 
-        kernel, config, args, textures, sass_text = self._resolve(req)
+        kernel, config, args, textures = self._resolve(req)
         spec = arch_spec(req.arch)
         address = content_address(
-            sass_text, config,
+            kernel, config,
             params={
                 "spec": req.kernel, "size": req.size,
                 "iters": req.compute_iterations,
@@ -197,7 +195,7 @@ class KernelRunner:
                         "cacheable": True, "report": cached}
 
         scout = self._scout(req)
-        skey = static_key(sass_text, config, req.extended)
+        skey = static_key(kernel, config, req.extended)
         art = self.static.get(skey)
         cache_tier = "l1" if art is not None else "cold"
         deadline = req.deadline if req.deadline is not None \

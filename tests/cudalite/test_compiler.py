@@ -1,6 +1,10 @@
 """Code-generation tests: the SASS patterns each kernel feature must
 produce (these patterns are exactly what GPUscout's analyses consume)."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import pytest
 
 from repro.cudalite import KernelBuilder, compile_kernel, f32, f64, float4, i32, ptr
@@ -332,3 +336,49 @@ class TestLineTable:
         ck = compile_kernel(kb.build())
         assert any(i.opcode.base == "TEX" for i in ck.program)
         assert ck.tex_slot("tex") == 0
+
+
+class TestRenderings:
+    """``sass_text``/``ptx_text``/``sass_sha256`` are rendered once per
+    CompiledKernel and always describe the fields the object holds."""
+
+    @staticmethod
+    def _two_kernels():
+        out = []
+        for name, value in (("first", 1.0), ("second", 2.0)):
+            kb = KernelBuilder(name)
+            kb.store(kb.param("p", ptr(f32)), kb.thread_idx.x, value)
+            out.append(compile_kernel(kb.build()))
+        return out
+
+    def test_rendered_once_per_kernel(self, monkeypatch):
+        from repro.ptx import writer as ptx_writer
+        from repro.sass import writer as sass_writer
+
+        calls = []
+        for mod, fn in ((sass_writer, "format_program"),
+                        (ptx_writer, "kernel_to_ptx")):
+            real = getattr(mod, fn)
+            monkeypatch.setattr(
+                mod, fn,
+                lambda x, real=real, fn=fn: (calls.append(fn), real(x))[1])
+        ck, _ = self._two_kernels()
+        texts = [(ck.sass_text, ck.ptx_text, ck.sass_sha256)
+                 for _ in range(3)]
+        assert texts[0] == texts[1] == texts[2]
+        assert sorted(calls) == ["format_program", "kernel_to_ptx"]
+        assert ck.sass_sha256 == hashlib.sha256(
+            ck.sass_text.encode()).hexdigest()
+
+    def test_pickle_and_replace_render_what_they_hold(self):
+        first, second = self._two_kernels()
+        want = (first.sass_text, first.ptx_text, first.sass_sha256)
+        clone = pickle.loads(pickle.dumps(first))
+        assert (clone.sass_text, clone.ptx_text, clone.sass_sha256) == want
+        # a replaced program/kernel must not answer with the old text
+        swapped = dataclasses.replace(first, program=second.program,
+                                      kernel=second.kernel)
+        assert swapped.sass_text == second.sass_text != first.sass_text
+        assert swapped.sass_sha256 == second.sass_sha256
+        assert swapped.ptx_text == second.ptx_text != first.ptx_text
+        assert (first.sass_text, first.ptx_text, first.sass_sha256) == want

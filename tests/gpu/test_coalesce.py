@@ -1,8 +1,15 @@
 """Coalescing and shared-memory bank-conflict model tests."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpu.coalesce import coalesce_sectors, shared_transactions
+from repro.gpu.coalesce import (
+    coalesce_sector_counts,
+    coalesce_sectors,
+    shared_transaction_counts,
+    shared_transactions,
+)
 
 ALL = np.ones(32, dtype=bool)
 
@@ -90,3 +97,58 @@ class TestSharedTransactions:
             np.arange(32, dtype=np.int64) * 256, 4, ALL
         )
         assert conflicted > free
+
+
+@st.composite
+def _warp_rows(draw):
+    """``(rows, 32)`` addresses and masks: dense word-aligned windows
+    (real conflicts and broadcasts), byte-granular ones (accesses that
+    straddle a sector) and sparse 40-bit ones, with some rows fully
+    masked."""
+    rows = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["words", "bytes", "sparse"]))
+    lane = {"words": st.integers(0, 96).map(lambda w: 4 * w),
+            "bytes": st.integers(-64, 700),
+            "sparse": st.integers(0, 2 ** 40)}[shape]
+    addrs = draw(st.lists(st.lists(lane, min_size=32, max_size=32),
+                          min_size=rows, max_size=rows))
+    mask = draw(st.lists(
+        st.one_of(st.just([False] * 32),
+                  st.lists(st.booleans(), min_size=32, max_size=32)),
+        min_size=rows, max_size=rows))
+    return np.array(addrs, dtype=np.int64), np.array(mask, dtype=bool)
+
+
+class TestBatchedCounts:
+    """The predictor's row-wise counters equal the scalar model on every
+    row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_warp_rows(), access_bytes=st.sampled_from([4, 8, 16]))
+    def test_sector_counts_match_scalar(self, rows, access_bytes):
+        addrs, mask = rows
+        want = [len(coalesce_sectors(a, access_bytes, m))
+                for a, m in zip(addrs, mask)]
+        got = coalesce_sector_counts(addrs, access_bytes, mask)
+        assert got.tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_warp_rows(), access_bytes=st.sampled_from([4, 8, 16]))
+    def test_transaction_counts_match_scalar(self, rows, access_bytes):
+        addrs, mask = rows
+        want = [shared_transactions(a, access_bytes, m)
+                for a, m in zip(addrs, mask)]
+        got = shared_transaction_counts(addrs, access_bytes, mask)
+        assert got.tolist() == want
+
+    def test_straddling_access_counts_both_sectors(self):
+        addrs = np.full((2, 32), 30, dtype=np.int64)
+        addrs[1] = 28  # fits: the row must not inherit row 0's span
+        mask = np.ones((2, 32), dtype=bool)
+        assert coalesce_sector_counts(addrs, 4, mask).tolist() == [2, 1]
+
+    def test_all_masked_rows_count_zero(self):
+        addrs = np.arange(64, dtype=np.int64).reshape(2, 32) * 4
+        mask = np.zeros((2, 32), dtype=bool)
+        assert coalesce_sector_counts(addrs, 16, mask).tolist() == [0, 0]
+        assert shared_transaction_counts(addrs, 16, mask).tolist() == [0, 0]

@@ -1,6 +1,8 @@
 """Counter-block semantics: aggregation, scaling, stall tables, and the
 texture line-fill accounting added to the hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu.caches import MemoryHierarchy
@@ -56,6 +58,42 @@ class TestCounters:
         s = c.scaled(1.0)
         assert s.inst_issued == 7
         assert s is not c
+
+    @staticmethod
+    def _filled():
+        c = Counters(cycles=12.5, inst_issued=9, inst_functional=3,
+                     warp_cycles_active=40.0, dram_sectors=2)
+        c.inst_by_class["int_alu"] = 5
+        c.inst_by_pc[0] = 9
+        c.mem_sectors_by_pc[3] = 4
+        c.shared_tx_by_pc[4] = 2
+        c.record_l2("global", hits=3, misses=2)
+        c.add_stall(3, StallReason.LONG_SCOREBOARD, 6.0)
+        return c
+
+    def test_scaled_copy_shares_no_dict(self):
+        c = self._filled()
+        dicts = {n for n, v in vars(c).items() if isinstance(v, dict)}
+        assert len(dicts) == 8
+        for factor in (1.0, 3.0):
+            s = c.scaled(factor)
+            for name in dicts:
+                mine, theirs = getattr(c, name), getattr(s, name)
+                assert mine is not theirs
+                # still a defaultdict with the same zero
+                assert type(theirs) is type(mine)
+                assert theirs["fresh key"] == mine.default_factory()
+                assert "fresh key" not in mine
+        s = c.scaled(2.0)
+        s.inst_by_pc[0] += 1
+        s.stall_cycles[(3, StallReason.LONG_SCOREBOARD)] = 0.0
+        assert c == self._filled()
+
+    def test_scaled_by_one_equals_source_field_by_field(self):
+        c = self._filled()
+        s = c.scaled(1.0)
+        for f in dataclasses.fields(Counters):
+            assert getattr(s, f.name) == getattr(c, f.name), f.name
 
 
 class TestTextureLineFill:

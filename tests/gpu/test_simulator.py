@@ -1,6 +1,9 @@
 """Launch orchestration: configs, argument staging, extrapolation,
 functional completion, occupancy reporting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,26 @@ class TestArgumentStaging:
                          args={"x": np.zeros(64, np.float32),
                                "y": ys, "a": 1.0, "n": 64})
         assert res.read_buffer("y").shape == (8, 8)
+
+    @pytest.mark.parametrize("functional_all", [False, True])
+    def test_device_image_dies_with_the_launch_result(
+            self, small_spec, saxpy, functional_all):
+        """Nothing cyclic holds the device image: dropping the result
+        frees it at once, not at some later full collection (a warm
+        analysis loop otherwise piles up images between collections)."""
+        gc.collect()
+        gc.disable()
+        try:
+            res = Simulator(small_spec).launch(
+                saxpy, LaunchConfig(grid=(4, 1), block=(64, 1)),
+                args={"x": np.zeros(256, np.float32),
+                      "y": np.ones(256, np.float32), "a": 1.0, "n": 256},
+                max_blocks=1, functional_all=functional_all)
+            image = weakref.ref(res.memory)
+            del res
+            assert image() is None
+        finally:
+            gc.enable()
 
 
 class TestExtrapolation:

@@ -111,6 +111,51 @@ class TestTraceCostCounters:
         assert "trace_build_s" not in stripped[0]
 
 
+class TestEvaluateCounters:
+    """The batched predictor and the slicer say how much they did:
+    ``pred_pcs``/``pred_rows`` and ``blame_pcs``, profile-only."""
+
+    @staticmethod
+    def _counters(report, name):
+        (span,) = [s for s in report.profile.spans if s.name == name]
+        return span.counters
+
+    def test_spans_carry_the_work_done(self, full_report):
+        pred = self._counters(full_report, "evaluate:predictions")
+        assert set(pred) == {"pred_pcs", "pred_rows"}
+        assert pred["pred_pcs"] > 0
+        # one timed block of 16x16 threads: 8 warps per batched pass
+        assert pred["pred_rows"] == 8
+        blame = self._counters(full_report, "evaluate:blame")
+        assert blame == {"blame_pcs": len(full_report.blame)}
+        assert blame["blame_pcs"] > 0
+
+    def test_footer_and_json_profile_only(self, full_report):
+        from repro.serve.protocol import strip_volatile
+
+        names = ("pred_pcs", "pred_rows", "blame_pcs")
+        with_prof, without = (full_report.render(profile=True),
+                              full_report.render())
+        assert "[prof] evaluate:predictions: pred_pcs" in with_prof
+        assert "[prof] evaluate:blame: blame_pcs" in with_prof
+        doc = report_to_dict(full_report)
+        spans = {s["name"]: s for s in doc["profile"]["spans"]}
+        assert set(spans["evaluate:predictions"]["counters"]) == \
+            {"pred_pcs", "pred_rows"}
+        assert set(spans["evaluate:blame"]["counters"]) == {"blame_pcs"}
+        stripped = json.dumps(strip_volatile(doc))
+        for name in names:
+            assert name not in without
+            assert name not in stripped
+
+    def test_cold_and_warm_count_the_same_work(self):
+        # (that their stripped bodies are byte-identical is pinned by
+        # TestTraceCostCounters above)
+        cold, warm = TestTraceCostCounters()._cold_and_warm()
+        for name in ("evaluate:predictions", "evaluate:blame"):
+            assert self._counters(cold, name) == self._counters(warm, name)
+
+
 class TestCLI:
     def test_trace_and_profile_flags(self, tmp_path, capsys):
         trace = tmp_path / "t.json"

@@ -1,9 +1,14 @@
 """Unit tests for the SASS ISA model (registers, opcodes, operands,
 instruction def/use)."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.sass import parse_sass
 from repro.sass.isa import (
+    Instruction,
     MemRef,
     Opcode,
     OpClass,
@@ -14,6 +19,7 @@ from repro.sass.isa import (
     RegisterFile,
 )
 from repro.sass.parser import parse_instruction
+from repro.sass.writer import format_program
 
 
 class TestRegister:
@@ -219,3 +225,60 @@ class TestInstructionDefUse:
         mem = ins.mem_operand()
         assert mem is not None and mem.base == Register(2) and mem.offset == 16
         assert parse_instruction("EXIT ;").mem_operand() is None
+
+
+class TestDefUseMemo:
+    """Def/use is derived once per instruction object; the memo is
+    invisible to everything but the two query methods."""
+
+    def test_replaced_operands_are_rederived(self):
+        ins = parse_instruction("IADD3 R1, R2, R3, RZ ;")
+        assert ins.dest_registers() == [Register(1)]
+        other = replace(ins, operands=[Operand.r(Register(7)),
+                                       Operand.r(Register(8)),
+                                       Operand.r(RZ), Operand.r(RZ)])
+        assert other.dest_registers() == [Register(7)]
+        assert other.source_registers() == [Register(8)]
+        moved = ins.with_offset(0x40)
+        assert "_def_use" not in vars(moved)
+        assert moved.dest_registers() == ins.dest_registers()
+
+    def test_results_are_private_lists(self):
+        ins = parse_instruction("IADD3 R1, R2, R3, RZ ;")
+        ins.dest_registers().clear()
+        ins.source_registers().append(Register(9))
+        assert ins.dest_registers() == [Register(1)]
+        assert ins.source_registers() == [Register(2), Register(3)]
+
+    def test_equality_repr_and_listing_ignore_the_memo(self):
+        text = ("S2R R0, SR_TID.X ;\n@P0 IADD3 R1, R0, 0x4, RZ ;\n"
+                "STG.E.SYS [R2], R1 ;\nEXIT ;\n")
+        fresh, queried = parse_sass(text), parse_sass(text)
+        for ins in queried:
+            ins.dest_registers(), ins.source_registers()
+        assert all("_def_use" in vars(ins) for ins in queried)
+        assert list(fresh) == list(queried)
+        assert [repr(i) for i in fresh] == [repr(i) for i in queried]
+        assert format_program(fresh) == format_program(queried)
+
+    def test_warm_analyze_derives_each_instruction_at_most_once(
+            self, monkeypatch):
+        from repro.cli import resolve_kernel
+        from repro.core import GPUscout
+
+        derived = Counter()
+        derive = Instruction._derive_dests
+
+        def counting(ins):
+            derived[id(ins)] += 1
+            return derive(ins)
+
+        monkeypatch.setattr(Instruction, "_derive_dests", counting)
+        ck, config, args, textures = resolve_kernel("sgemm:shared", 96, 4)
+        scout = GPUscout()
+        scout.analyze(ck, config, args, textures=textures)
+        assert set(derived.values()) == {1}
+        assert set(derived) == {id(ins) for ins in ck.program}
+        before = dict(derived)
+        scout.analyze(ck, config, args, textures=textures)  # warm
+        assert derived == before

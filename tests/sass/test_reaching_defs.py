@@ -1,8 +1,11 @@
 """CFG and reaching-definitions edge cases: predicated defs,
 self-loops, unreachable blocks — the shapes the blame slicer leans on."""
 
+import pytest
+
+from repro.cli import _kernel_catalog, resolve_kernel
 from repro.sass import parse_sass
-from repro.sass.affine import ReachingDefinitions
+from repro.sass.affine import _LIVE_IN, ReachingDefinitions
 from repro.sass.cfg import build_cfg
 
 
@@ -132,3 +135,33 @@ class TestUnreachable:
         # the dead block sees only the live-in sentinel, not index 0
         assert rd.defs_before(r4, 2) == (-1,)
         assert rd.defs_at(r4, 2) == (2,)
+
+
+def _rescan(rd, reg, index, at):
+    """Reference: the block-rescan query the per-index walk replaced —
+    re-derive every instruction's destinations from the block start and
+    keep the last match (``at`` counts a definition at ``index``)."""
+    blk = rd.cfg.block_of_instruction(index)
+    key = (reg.index, reg.predicate)
+    last = None
+    stop = min(index, blk.end - 1) + 1 if at else index
+    for i in range(blk.start, stop):
+        for dreg in rd.program[i].dest_registers():
+            if (dreg.index, dreg.predicate) == key:
+                last = i
+    if last is not None:
+        return (last,)
+    return tuple(sorted(rd._in[blk.bid].get(key, _LIVE_IN)))
+
+
+@pytest.mark.parametrize("spec", sorted(_kernel_catalog()))
+def test_queries_by_index_equal_block_rescan(spec):
+    program = resolve_kernel(spec, 128, 8)[0].program
+    rd = ReachingDefinitions(program, build_cfg(program))
+    regs = sorted({r for ins in program for r in ins.dest_registers()})
+    assert regs
+    for index in range(len(program)):
+        for reg in regs:
+            assert rd.defs_before(reg, index) == _rescan(rd, reg, index, False)
+            assert rd.defs_at(reg, index) == _rescan(rd, reg, index, True)
+
