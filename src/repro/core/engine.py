@@ -349,6 +349,13 @@ class GPUscout:
                 if launch is not None:
                     for name, value in launch.trace_cost.items():
                         prof.count(name, value)
+                    if launch.func_packs:
+                        # what the batched functional phase did, and
+                        # how much of it fell to the per-warp loop
+                        prof.count("func_packs", launch.func_packs)
+                        prof.count("func_dissolved", launch.func_dissolved)
+                        prof.count("func_legacy_inst",
+                                   launch.func_legacy_inst)
 
         sampling = None
         line_profiles: dict[int, LineStallProfile] = {}

@@ -198,10 +198,16 @@ def render_report(report, color: bool = False,
                 f" ({launch.timed_inst_per_sec:,.0f}/s, {timed_path} path)"
             )
         if launch.counters.inst_functional:
-            path = "fast (batched)" if launch.fast_path else "legacy"
+            if not launch.fast_path:
+                path = "legacy path"
+            elif launch.func_legacy_inst:
+                path = (f"batched, {launch.func_dissolved} of "
+                        f"{launch.func_packs} packs finished per-warp")
+            else:
+                path = "fast (batched) path"
             exec_line += (
                 f" | functional inst {launch.counters.inst_functional}"
-                f" ({launch.functional_inst_per_sec:,.0f}/s, {path} path)"
+                f" ({launch.functional_inst_per_sec:,.0f}/s, {path})"
             )
         lines.append(exec_line)
     lines.extend(render_health(report))

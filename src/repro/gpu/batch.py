@@ -1,12 +1,22 @@
 """Batched multi-warp functional execution (the fast path).
 
-The legacy functional path in
-:meth:`~repro.gpu.simulator.Simulator._run_functional` interprets one
+The per-warp functional loop (:func:`run_per_warp`) interprets one
 instruction per warp per Python call; for large grids the per-call
 Python work dominates wall-clock.  This module stacks the warps of many
 blocks into ``(n_warps, 32)`` NumPy arrays (a :class:`WarpPack`) and
 executes one *predecoded* instruction across the whole pack per step,
 so the Python-per-instruction cost is amortised over hundreds of warps.
+
+A pack is built straight from launch geometry — ``(program, config)``
+and a list of block ids — by tiling one block's thread template
+(:func:`~repro.gpu.executor.thread_geometry`); no per-warp
+:class:`~repro.gpu.executor.WarpState` exists on this path.  Masking is
+paid for only where a lane is masked: :meth:`BatchEngine.run` derives
+the executing lanes once per control-flow change and tells the handlers
+(``pack.dense``) when an unpredicated instruction covers every lane of
+the pack, so register writes are plain copies and shared-memory
+accesses index the whole plane; predicated instructions and packs with
+partial or finished warps take the guarded forms of the same handlers.
 
 Correctness contract — the batched path must produce **bit-identical**
 device memory and identical counters vs. the per-warp path:
@@ -15,30 +25,38 @@ device memory and identical counters vs. the per-warp path:
   warp sits at the same PC and a single-PC lockstep suffices;
 * NumPy fancy-index scatter and ``np.add.at`` apply updates in flat
   row-major order, which for a ``(n_warps, 32)`` pack is exactly the
-  block-then-warp-then-lane order the legacy loop uses within a step;
+  block-then-warp-then-lane order the per-warp loop uses within a step;
 * integer atomics are associative (wrapping uint32 adds), so any
   inter-step ordering is bit-identical; float atomics are only batched
   when they retire at most once per warp at a single PC
-  (:func:`_order_sensitive`), where pack order equals legacy order;
+  (:func:`_order_sensitive`), where pack order equals per-warp order;
 * on the first branch where live warps disagree (or predicate lanes
-  split inside a warp), the pack *dissolves*: state is written back to
-  the per-warp :class:`~repro.gpu.executor.WarpState` objects and the
-  remaining execution — including the exact divergent-branch error the
-  legacy path would raise — happens on the legacy per-warp loop.
+  split inside a warp), the pack *dissolves*: :meth:`WarpPack.dissolve`
+  materialises the per-warp states — the only place the batched side
+  creates them — and the remaining execution, including the exact
+  divergent-branch error, happens on :func:`run_per_warp`.
 
 Programs containing opcodes the executor does not implement, or
-order-sensitive float atomics, are simply routed to the legacy path.
+order-sensitive float atomics, are routed to :func:`run_per_warp` by
+the simulator (:func:`batchable`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.testing.faultinject import fail_point
-from repro.gpu.executor import Executor, WarpState
+from repro.gpu.budget import SimBudget
+from repro.gpu.executor import (
+    Executor,
+    WarpState,
+    state_shape,
+    thread_geometry,
+)
 from repro.gpu.predecode import (
     ATOM_F32,
     ATOM_F64,
@@ -49,16 +67,21 @@ from repro.gpu.predecode import (
     K_REG,
     PredecodedProgram,
 )
+from repro.sass.isa import Program
 
-__all__ = ["WarpPack", "BatchEngine", "run_functional_batched", "batchable"]
+__all__ = ["WarpPack", "BatchEngine", "FunctionalRun",
+           "run_functional_batched", "run_per_warp", "batchable"]
 
 WARP = 32
 
 #: upper bound on warps stacked into one pack (keeps temporaries cache-sized)
 MAX_PACK_WARPS = 2048
 
-#: per-block step budget, mirroring the legacy functional loop
+#: per-block step limit of both functional loops
 _MAX_STEPS_PER_BLOCK = 50_000_000
+
+#: the per-warp loop charges a running block's budget this often
+_BUDGET_TICK = 4096
 
 
 def _order_sensitive(decoded: PredecodedProgram) -> bool:
@@ -78,83 +101,91 @@ def batchable(decoded: PredecodedProgram) -> bool:
 
 
 class WarpPack:
-    """All warps of a chunk of blocks, stacked lane-wise.
+    """All warps of a list of whole blocks, stacked lane-wise.
 
-    Register file is ``(nregs, W, 32)``, predicates ``(8, W, 32)``,
-    active lanes ``(W, 32)``; ``live`` marks warps still executing.
-    Per-block shared memory is carved out of one aligned backing buffer
-    so the per-warp ``WarpState.shared`` views stay valid after a
-    dissolve.
+    Built straight from launch geometry — no per-warp object exists
+    until :meth:`dissolve`.  Register file is ``(nregs, W, 32)``,
+    predicates ``(8, W, 32)``, active lanes ``(W, 32)``; ``live`` marks
+    warps still executing and ``block_of[i]`` is warp ``i``'s linear
+    block id.  Per-block shared memory is carved out of one aligned
+    backing buffer (block ``b`` of the pack starts at word
+    ``shared_word_off`` of any of its warps), which the per-warp
+    ``WarpState.shared`` views alias after a dissolve.
     """
 
     __slots__ = (
-        "warps", "n", "regs", "preds", "active", "live", "pc", "local",
-        "tid", "ctaid", "ntid", "nctaid",
-        "shared", "shared_word_off", "shared_bytes",
+        "n", "nregs", "regs", "preds", "active", "live", "pc", "local",
+        "tid", "ctaid", "ntid", "nctaid", "block_of", "warps_per_block",
+        "shared", "shared_word_off", "shared_bytes", "dense",
     )
 
-    def __init__(self, warps: list[WarpState], shared_bytes: int):
-        self.warps = warps
-        n = self.n = len(warps)
-        nregs = warps[0].regs.shape[0]
-        nlocal = warps[0].local.shape[0]
+    def __init__(self, program: Program, config, blocks):
+        wpb = self.warps_per_block = config.warps_per_block
+        n_blocks = len(blocks)
+        n = self.n = n_blocks * wpb
+        nregs, nlocal = state_shape(program)
+        self.nregs = nregs
         self.regs = np.zeros((nregs, n, WARP), dtype=np.uint32)
         self.preds = np.zeros((8, n, WARP), dtype=bool)
         self.preds[7] = True  # PT
-        self.active = np.stack([w.active for w in warps])
+        self.local = np.zeros((nlocal, n, WARP), dtype=np.uint32)
         self.live = np.ones(n, dtype=bool)
         self.pc = 0
-        self.local = np.zeros((nlocal, n, WARP), dtype=np.uint32)
-        self.tid = tuple(
-            np.stack([w.tid[axis] for w in warps]).astype(np.uint32)
-            for axis in range(3)
-        )
-        self.ctaid = tuple(
-            np.array([w.ctaid[axis] for w in warps],
-                     dtype=np.uint32).reshape(n, 1)
-            for axis in range(3)
-        )
-        self.ntid = warps[0].ntid
-        self.nctaid = warps[0].nctaid
-        # one aligned backing buffer for all blocks' shared memory; the
-        # per-warp WarpState.shared attributes are re-pointed at views
-        # so the legacy fallback sees the same bytes after a dissolve
-        self.shared_bytes = shared_bytes
+        #: set by :meth:`BatchEngine.run` per instruction: no lane of
+        #: the pack is masked, so handlers may skip the guard
+        self.dense = False
+        tid, active, ctaid = thread_geometry(config, blocks)
+        self.tid = tuple(np.tile(t, (n_blocks, 1)) for t in tid)
+        self.active = np.tile(active, (n_blocks, 1))
+        self.ctaid = tuple(np.repeat(c, wpb).reshape(n, 1) for c in ctaid)
+        self.ntid = (config.block[0], config.block[1], 1)
+        self.nctaid = (config.grid[0], config.grid[1], 1)
+        self.block_of = np.repeat(np.asarray(blocks, dtype=np.int64), wpb)
+        self.shared_bytes = program.shared_bytes
         self.shared: Optional[np.ndarray] = None
         self.shared_word_off: Optional[np.ndarray] = None
-        if shared_bytes:
-            stride = -(-shared_bytes // 8) * 8
-            block_ids: list[int] = []
-            for w in warps:
-                if w.block_id not in block_ids:
-                    block_ids.append(w.block_id)
-            self.shared = np.zeros(len(block_ids) * stride, dtype=np.uint8)
-            index = {b: i for i, b in enumerate(block_ids)}
-            off = np.empty((n, 1), dtype=np.int64)
-            for i, w in enumerate(warps):
-                base = index[w.block_id] * stride
-                w.shared = self.shared[base : base + shared_bytes]
-                off[i, 0] = base >> 2
-            self.shared_word_off = off
+        if self.shared_bytes:
+            stride = -(-self.shared_bytes // 8) * 8
+            self.shared = np.zeros(n_blocks * stride, dtype=np.uint8)
+            self.shared_word_off = np.repeat(
+                np.arange(n_blocks, dtype=np.int64) * (stride >> 2), wpb
+            ).reshape(n, 1)
+
+    def lanes(self) -> np.ndarray:
+        """Lanes an unpredicated instruction executes on right now.  A
+        fresh array: callers share it between instructions (and the
+        trace emitter keeps references), so nobody writes into it."""
+        return self.active & self.live[:, None]
 
     def dissolve(self, pc: int) -> list[WarpState]:
-        """Write pack state back into the per-warp objects; returns the
-        warps (shared memory views are already in place)."""
-        for i, w in enumerate(self.warps):
+        """Materialise the per-warp states at ``pc`` for the per-warp
+        loop; their ``shared`` attributes are views of the pack's
+        backing buffer."""
+        warps = []
+        for i in range(self.n):
+            shared = None
+            if self.shared is not None:
+                base = int(self.shared_word_off[i, 0]) << 2
+                shared = self.shared[base : base + self.shared_bytes]
+            w = WarpState(
+                nregs=self.nregs,
+                local_slots=self.local.shape[0],
+                shared=shared,
+                tid=tuple(t[i] for t in self.tid),
+                ctaid=tuple(int(c[i, 0]) for c in self.ctaid),
+                ntid=self.ntid,
+                nctaid=self.nctaid,
+                active=self.active[i],
+                warp_id=i % self.warps_per_block,
+                block_id=int(self.block_of[i]),
+            )
             w.regs[:] = self.regs[:, i, :]
             w.preds[:] = self.preds[:, i, :]
-            w.active[:] = self.active[i]
             w.local[:] = self.local[:, i, :]
             w.pc = pc
             w.done = not self.live[i]
-        return self.warps
-
-
-class _Dissolved(Exception):
-    """Internal: the pack hit divergent control flow at ``self.pc``."""
-
-    def __init__(self, pc: int):
-        self.pc = pc
+            warps.append(w)
+        return warps
 
 
 class BatchEngine:
@@ -180,7 +211,7 @@ class BatchEngine:
         #: populated when an emitter is attached (see :meth:`_branch`).
         self._worklist: list[tuple[np.ndarray, int]] = []
         #: plain functions, called with ``self`` (see Executor._handlers)
-        self._handlers: list[Optional[Callable]] = [
+        self._handlers = [
             getattr(type(self), "_b_" + d.hname, None) if d.hname else None
             for d in self.decoded.table
         ]
@@ -246,7 +277,10 @@ class BatchEngine:
     def _wu32(pack: WarpPack, reg: int, val, guard: np.ndarray) -> None:
         if reg == 255:
             return
-        np.copyto(pack.regs[reg], val, where=guard, casting="unsafe")
+        if pack.dense:
+            np.copyto(pack.regs[reg], val, casting="unsafe")
+        else:
+            np.copyto(pack.regs[reg], val, where=guard, casting="unsafe")
 
     def _wf32(self, pack, reg, val, guard) -> None:
         self._wu32(pack, reg,
@@ -463,11 +497,13 @@ class BatchEngine:
 
     # -- memory ----------------------------------------------------------
     def _addrs(self, pack, mem: DecOp) -> np.ndarray:
-        if mem.mem_base >= 0:
-            base = self._reg(pack, mem.mem_base).astype(np.int64)
-        else:
-            base = np.zeros((pack.n, WARP), dtype=np.int64)
-        return base + mem.mem_off
+        """Byte addresses of a memory operand, a fresh ``(W, 32)``
+        int64 array the caller may overwrite."""
+        if mem.mem_base < 0:
+            return np.full((pack.n, WARP), mem.mem_off, dtype=np.int64)
+        addrs = self._reg(pack, mem.mem_base).astype(np.int64)
+        addrs += mem.mem_off
+        return addrs
 
     def _b_ldg(self, pack, dec, guard) -> None:
         d, mem = dec.ops[0], dec.ops[1]
@@ -506,33 +542,52 @@ class BatchEngine:
             raise SimulationError("kernel uses shared memory but none allocated")
         return pack.shared.view(np.uint32)
 
+    def _smem_words(self, pack, mem: DecOp, width: int,
+                    guard: np.ndarray) -> Optional[np.ndarray]:
+        """Word indices into the pack's shared buffer of one LDS/STS:
+        the whole ``(W, 32)`` plane when no lane is masked, else the
+        guarded lanes only (``None`` when there are none)."""
+        if pack.dense:
+            act = self._addrs(pack, mem)
+            woff = pack.shared_word_off
+        elif guard.any():
+            act = self._addrs(pack, mem)[guard]
+            woff = np.broadcast_to(pack.shared_word_off,
+                                   (pack.n, WARP))[guard]
+        else:
+            return None
+        if act.min() < 0 or act.max() + 4 * width > pack.shared_bytes:
+            raise SimulationError("shared memory access out of bounds")
+        # in place: a (W, 32) int64 temporary costs more than the shift
+        act >>= 2
+        act += woff
+        return act
+
     def _b_lds(self, pack, dec, guard) -> None:
         d, mem = dec.ops[0], dec.ops[1]
-        width = dec.width_regs
         smem = self._smem_u32(pack)
-        if not guard.any():
+        words = self._smem_words(pack, mem, dec.width_regs, guard)
+        if words is None:
             return
-        addrs = self._addrs(pack, mem)
-        act = addrs[guard]
-        if (act < 0).any() or (act + 4 * width > pack.shared_bytes).any():
-            raise SimulationError("shared memory access out of bounds")
-        woff = np.broadcast_to(pack.shared_word_off, (pack.n, WARP))[guard]
-        for k in range(width):
-            pack.regs[d.reg + k][guard] = smem[(act >> 2) + woff + k]
+        for k in range(dec.width_regs):
+            if k:
+                words += 1
+            if pack.dense:
+                pack.regs[d.reg + k] = smem[words]
+            else:
+                pack.regs[d.reg + k][guard] = smem[words]
 
     def _b_sts(self, pack, dec, guard) -> None:
         mem, src = dec.ops[0], dec.ops[1]
-        width = dec.width_regs
         smem = self._smem_u32(pack)
-        if not guard.any():
+        words = self._smem_words(pack, mem, dec.width_regs, guard)
+        if words is None:
             return
-        addrs = self._addrs(pack, mem)
-        act = addrs[guard]
-        if (act < 0).any() or (act + 4 * width > pack.shared_bytes).any():
-            raise SimulationError("shared memory access out of bounds")
-        woff = np.broadcast_to(pack.shared_word_off, (pack.n, WARP))[guard]
-        for k in range(width):
-            smem[(act >> 2) + woff + k] = self._reg(pack, src.reg + k)[guard]
+        for k in range(dec.width_regs):
+            if k:
+                words += 1
+            val = self._reg(pack, src.reg + k)
+            smem[words] = val if pack.dense else val[guard]
 
     # -- atomics ----------------------------------------------------------
     def _b_red(self, pack, dec, guard) -> None:
@@ -581,58 +636,75 @@ class BatchEngine:
     # lockstep driver
     # ------------------------------------------------------------------
 
-    def run(self, pack: WarpPack) -> tuple[int, Optional[list[WarpState]]]:
+    def run(self, pack: WarpPack) -> tuple[int, Optional[int]]:
         """Run the pack until all warps finish or control flow diverges.
 
-        Returns ``(instructions_executed, leftover_warps)`` where
-        ``leftover_warps`` is ``None`` on clean completion, else the
-        written-back per-warp states for the legacy loop to finish.
+        Returns ``(instructions_executed, diverged_at)`` where
+        ``diverged_at`` is ``None`` on clean completion, else the PC of
+        the branch the pack could not take in lockstep: the caller
+        finishes ``pack.dissolve(diverged_at)`` on the per-warp loop.
+
+        Which lanes run changes only at a ``BRA``, an ``EXIT`` or a
+        worklist resume, so :meth:`WarpPack.lanes`, the live-warp count
+        and whether every lane is covered are computed there and shared
+        by the straight-line instructions in between; a predicated
+        instruction derives its own guard from the shared one.
         """
         table = self.decoded.table
         handlers = self._handlers
         nprog = len(table)
-        max_insts = _MAX_STEPS_PER_BLOCK * max(
-            len({w.block_id for w in pack.warps}), 1)
+        max_insts = _MAX_STEPS_PER_BLOCK * (pack.n // pack.warps_per_block)
         insts = 0
         live = pack.live
+        emit = self.emit
         self._worklist = []
+        lanes = None  # stale after every control-flow change
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while live.any() or self._worklist:
-                if not live.any():
-                    # current subgroup ran dry: resume a parked one
-                    mask, resume_pc = self._worklist.pop()
-                    live[:] = mask
-                    pack.pc = resume_pc
-                    self.emit.resume(mask)
+            while True:
+                if lanes is None:
+                    n_live = int(live.sum())
+                    if not n_live:
+                        if not self._worklist:
+                            break
+                        # current subgroup ran dry: resume a parked one
+                        mask, resume_pc = self._worklist.pop()
+                        live[:] = mask
+                        pack.pc = resume_pc
+                        emit.resume(mask)
+                        n_live = int(live.sum())
+                    lanes = pack.lanes()
+                    all_lanes = bool(lanes.all())
                 pc = pack.pc
                 if pc >= nprog:
                     raise SimulationError("PC ran off the end of the program")
                 dec = table[pc]
-                n_live = int(live.sum())
                 insts += n_live
                 if insts > max_insts:
                     raise SimulationError(
                         "functional execution exceeded step budget")
-                guard = pack.active & live[:, None]
                 if dec.pred >= 0:
                     p = pack.preds[dec.pred]
-                    guard &= (~p if dec.pred_neg else p)
-                emit = self.emit
+                    guard = lanes & (~p if dec.pred_neg else p)
+                    pack.dense = False
+                else:
+                    guard = lanes
+                    pack.dense = all_lanes
                 if emit is not None:
                     emit.begin_row(pc)
                 base = dec.base
                 if base == "BRA":
+                    lanes = None
                     prev_live = live.copy() if emit is not None else None
                     if not self._branch(pack, dec, guard):
-                        # disagreement: rewind this BRA (the legacy loop
-                        # re-executes it, reproducing exact semantics,
-                        # including the divergent-lane error)
-                        insts -= n_live
-                        return insts, pack.dissolve(pc)
+                        # disagreement: rewind this BRA (the per-warp
+                        # loop re-executes it, reproducing exact
+                        # semantics, including the divergent-lane error)
+                        return insts - n_live, pc
                     if emit is not None:
                         emit.deaths(prev_live & ~live)
                     continue
                 if base == "EXIT":
+                    lanes = None
                     pack.active &= ~guard
                     if emit is not None:
                         prev_live = live.copy()
@@ -686,8 +758,8 @@ class BatchEngine:
             if self.emit is None:
                 return False
             if self.decoded.has_barrier:
-                blocks = np.array([w.block_id for w in pack.warps])
-                if np.intersect1d(blocks[taken], blocks[fall]).size:
+                if np.intersect1d(pack.block_of[taken],
+                                  pack.block_of[fall]).size:
                     return False
             self._worklist.append((fall.copy(), pack.pc + 1))
             self.emit.suspend(fall)
@@ -707,22 +779,29 @@ class BatchEngine:
         return True
 
 
-def _finish_legacy(executor: Executor, warps: list[WarpState]) -> int:
-    """Finish partially-executed warps on the per-warp path, respecting
-    barriers block-by-block (mirrors ``Simulator._run_functional``)."""
+def run_per_warp(executor: Executor, warps: list[WarpState],
+                 budget: Optional[SimBudget] = None) -> int:
+    """The per-warp functional loop: run ``warps`` (fresh, or left
+    over from a dissolved pack) to completion with ``Executor.step``,
+    block by block, round-robin within a block so barriers synchronise.
+    Charges ``budget`` the exact count — in ticks while a block runs,
+    the remainder when it completes.  Returns the number of
+    warp-instructions executed."""
+    table = executor.decoded.table
     insts = 0
     by_block: dict[int, list[WarpState]] = {}
     for w in warps:
         by_block.setdefault(w.block_id, []).append(w)
     for block_warps in by_block.values():
-        steps = 0
+        steps = charged = 0
         pending = [w for w in block_warps if not w.done]
         while pending:
             progressed = False
             arrived: list[WarpState] = []
             for warp in pending:
+                # run each warp until it blocks at a barrier or finishes
                 while not warp.done:
-                    if executor.decoded.table[warp.pc].base == "BAR":
+                    if table[warp.pc].base == "BAR":
                         break
                     executor.step(warp)
                     progressed = True
@@ -730,9 +809,13 @@ def _finish_legacy(executor: Executor, warps: list[WarpState]) -> int:
                     if steps > _MAX_STEPS_PER_BLOCK:
                         raise SimulationError(
                             "functional execution exceeded step budget")
+                    if budget is not None and steps - charged >= _BUDGET_TICK:
+                        budget.spend(steps - charged)
+                        charged = steps
                 if not warp.done:
                     arrived.append(warp)
             if arrived and len(arrived) == len(pending):
+                # all at the barrier: release (executes BAR, advances pc)
                 for warp in arrived:
                     executor.step(warp)
                     steps += 1
@@ -741,48 +824,55 @@ def _finish_legacy(executor: Executor, warps: list[WarpState]) -> int:
             if pending and not progressed:
                 raise SimulationError(
                     "barrier deadlock during functional execution")
+        if budget is not None:
+            budget.spend(steps - charged)
         insts += steps
     return insts
 
 
-def run_functional_batched(
-    make_warps: Callable[[int], list[WarpState]],
-    executor: Executor,
-    blocks: Iterable[int],
-    shared_bytes: int,
-) -> int:
-    """Execute ``blocks`` functionally on the batched engine.
+class FunctionalRun(NamedTuple):
+    """What :func:`run_functional_batched` did."""
 
-    ``make_warps`` builds the per-warp states for one block (the
-    simulator's block factory).  ``blocks`` may be any iterable — it is
-    consumed lazily, one pack's worth at a time, so huge grids never
-    materialise a block list.  Returns the number of instructions
-    executed.  The caller is responsible for routing non-batchable
-    programs (see :func:`batchable`) to the legacy path.
+    #: warp-instructions executed, per-warp remainder included
+    insts: int
+    #: packs built and started on the batched engine
+    packs: int
+    #: packs that dissolved and finished on the per-warp loop
+    dissolved: int
+    #: warp-instructions those packs executed on the per-warp loop
+    legacy_insts: int
+
+
+def run_functional_batched(
+    executor: Executor,
+    config,
+    blocks: Iterable[int],
+    budget: Optional[SimBudget] = None,
+) -> FunctionalRun:
+    """Execute ``blocks`` of a launch functionally on the batched engine.
+
+    ``blocks`` may be any iterable — it is consumed lazily, one pack's
+    worth (``MAX_PACK_WARPS // warps_per_block`` blocks, at least one)
+    at a time, so huge grids never materialise a block list.  Each pack
+    is charged to ``budget`` as it completes, so a tripped budget has
+    overshot by at most one pack.  The caller is responsible for routing
+    non-batchable programs (see :func:`batchable`) to
+    :func:`run_per_warp`.
     """
     fail_point("batch.functional")
     engine = BatchEngine(executor)
-    insts = 0
+    per_pack = max(MAX_PACK_WARPS // config.warps_per_block, 1)
+    insts = packs = dissolved = legacy_insts = 0
     it = iter(blocks)
-    carry: Optional[list[WarpState]] = None
-    while True:
-        if carry is not None:
-            chunk_warps, carry = carry, None
-        else:
-            chunk_warps = []
-        for block in it:
-            block_warps = make_warps(block)
-            if chunk_warps and (
-                len(chunk_warps) + len(block_warps) > MAX_PACK_WARPS
-            ):
-                carry = block_warps
-                break
-            chunk_warps.extend(block_warps)
-        if not chunk_warps:
-            break
-        pack = WarpPack(chunk_warps, shared_bytes)
-        done, leftover = engine.run(pack)
+    for chunk in iter(lambda: list(islice(it, per_pack)), []):
+        pack = WarpPack(executor.program, config, chunk)
+        done, diverged_at = engine.run(pack)
+        packs += 1
         insts += done
-        if leftover is not None:
-            insts += _finish_legacy(executor, leftover)
-    return insts
+        if budget is not None:
+            budget.spend(done)
+        if diverged_at is not None:
+            dissolved += 1
+            legacy_insts += run_per_warp(
+                executor, pack.dissolve(diverged_at), budget)
+    return FunctionalRun(insts + legacy_insts, packs, dissolved, legacy_insts)

@@ -47,7 +47,8 @@ from repro.gpu.predecode import (
 from repro.sass.isa import Program
 
 __all__ = ["DeviceMemory", "WarpState", "Effect", "Executor", "TextureLayout",
-           "StaticEffect", "static_effect_table"]
+           "StaticEffect", "static_effect_table", "state_shape",
+           "thread_geometry"]
 
 WARP = 32
 
@@ -182,6 +183,45 @@ class WarpState:
         self.shared = shared
         self.warp_id = warp_id
         self.block_id = block_id
+
+
+def state_shape(program: Program) -> tuple[int, int]:
+    """``(nregs, local_slots)`` of a warp that runs ``program``."""
+    return (max(program.registers_per_thread + 2, 8),
+            max(program.local_bytes_per_thread // 4, 1))
+
+
+def thread_geometry(config, blocks) -> tuple[tuple, np.ndarray, tuple]:
+    """Thread geometry of whole blocks of a launch: the one place
+    ``tid``/``ctaid``/``active`` are derived from a
+    :class:`~repro.gpu.simulator.LaunchConfig`.
+
+    Returns ``(tid, active, ctaid)``.  ``tid`` is three
+    ``(warps_per_block, 32)`` uint32 planes and ``active`` the matching
+    lane mask — the same template for every block: lanes past the
+    block's thread count are inactive and read the last thread's ids.
+    ``ctaid`` is three ``(len(blocks),)`` uint32 arrays, one entry per
+    linear block id in ``blocks``.
+    """
+    gx = config.grid[0]
+    bx = config.block[0]
+    threads = config.threads_per_block
+    wpb = config.warps_per_block
+    linear = np.arange(wpb * WARP).reshape(wpb, WARP)
+    active = linear < threads
+    linear = np.minimum(linear, threads - 1)
+    tid = (
+        (linear % bx).astype(np.uint32),
+        (linear // bx).astype(np.uint32),
+        np.zeros((wpb, WARP), dtype=np.uint32),
+    )
+    blocks = np.asarray(blocks, dtype=np.int64)
+    ctaid = (
+        (blocks % gx).astype(np.uint32),
+        (blocks // gx).astype(np.uint32),
+        np.zeros(len(blocks), dtype=np.uint32),
+    )
+    return tid, active, ctaid
 
 
 @dataclass

@@ -16,13 +16,20 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.cudalite.compiler import CompiledKernel
-from repro.errors import LaunchError, SimulationError
-from repro.gpu.batch import batchable, run_functional_batched
+from repro.errors import LaunchError
+from repro.gpu.batch import batchable, run_functional_batched, run_per_warp
 from repro.gpu.budget import SimBudget
 from repro.gpu.caches import MemoryHierarchy
 from repro.gpu.config import GPUSpec
 from repro.gpu.counters import Counters
-from repro.gpu.executor import DeviceMemory, Executor, TextureLayout, WarpState
+from repro.gpu.executor import (
+    DeviceMemory,
+    Executor,
+    TextureLayout,
+    WarpState,
+    state_shape,
+    thread_geometry,
+)
 from repro.gpu.scheduler import SMScheduler
 from repro.gpu.timed_trace import build_timed_trace, timed_batchable
 from repro.gpu.trace_cache import trace_cache
@@ -101,8 +108,13 @@ class LaunchResult:
     extrapolation: float = 1.0
     #: wall-clock spent completing the grid functionally (host seconds)
     functional_seconds: float = 0.0
-    #: whether the batched fast path executed the functional phase
-    fast_path: bool = False
+    #: packs the batched engine ran in the functional phase, how many of
+    #: them dissolved at a divergent branch, and the warp-instructions
+    #: those finished on the per-warp loop (shown by ``--profile`` and
+    #: the ``[exec]`` line)
+    func_packs: int = 0
+    func_dissolved: int = 0
+    func_legacy_inst: int = 0
     #: wall-clock spent in the timed phase (host seconds)
     timed_seconds: float = 0.0
     #: whether every timed wave ran on the trace-driven scheduler
@@ -118,6 +130,12 @@ class LaunchResult:
     #: (``trace_hits``) or built (``trace_misses``), and the payload
     #: ``trace_bytes`` of every trace replayed (shown by ``--profile``)
     trace_cost: dict = field(default_factory=dict)
+
+    @property
+    def fast_path(self) -> bool:
+        """Whether the batched engine executed the functional phase:
+        read off what ran, not what was routed."""
+        return self.func_packs > 0
 
     @property
     def functional_inst_per_sec(self) -> float:
@@ -308,21 +326,13 @@ class Simulator:
                         )
                     scheduler.run_wave_trace(ent.trace, ent.warp_counts)
                     continue
-            warps: list[WarpState] = []
-            warp_counts: dict[int, int] = {}
-            for block_id in wave:
-                block_warps = self._make_block_warps(
-                    compiled, config, block_id, mem
-                )
-                warp_counts[block_id] = len(block_warps)
-                warps.extend(block_warps)
-            counters.warps_launched += len(warps)
+            warp_counts = dict.fromkeys(wave, config.warps_per_block)
+            n_warps = len(wave) * config.warps_per_block
+            counters.warps_launched += n_warps
             if use_trace:
                 t_build = time.perf_counter()
-                ttrace = build_timed_trace(
-                    executor, warps, compiled.program.shared_bytes,
-                    capture=capture,
-                )
+                ttrace = build_timed_trace(executor, config, wave,
+                                           capture=capture)
                 t_built = time.perf_counter()
                 cost["trace_build_s"] += t_built - t_build
                 if ttrace is not None:
@@ -334,16 +344,14 @@ class Simulator:
                     scheduler.run_wave_trace(ttrace, warp_counts)
                     continue
                 # dissolved (divergent wave) or build error: device
-                # memory was rolled back — rebuild pristine warps and
-                # replay the wave on the legacy interleaved path
+                # memory was rolled back — replay the wave on the
+                # legacy interleaved path
                 timed_fast_path = False
-                warps = []
-                for block_id in wave:
-                    warps.extend(self._make_block_warps(
-                        compiled, config, block_id, mem
-                    ))
             elif note_wave is not None:
-                note_wave("legacy", len(warps))
+                note_wave("legacy", n_warps)
+            warps = [w for block_id in wave for w in
+                     self._make_block_warps(compiled.program, config,
+                                            block_id)]
             scheduler.run_wave(warps, warp_counts)
         timed_seconds = time.perf_counter() - t0
         timed_instructions = counters.inst_issued
@@ -351,24 +359,24 @@ class Simulator:
         counters.cycles = cycles
 
         functional_seconds = 0.0
-        fast_path = False
+        func_packs = func_dissolved = func_legacy_inst = 0
         if functional_all:
             # range membership is O(1): no timed-block set, no list
             rest = (b for b in range(num_blocks) if b not in timed_blocks)
             t0 = time.perf_counter()
             if self.fast and batchable(executor.decoded):
-                fast_path = True
-                done = run_functional_batched(
-                    lambda b: self._make_block_warps(compiled, config, b, mem),
-                    executor, rest, compiled.program.shared_bytes,
+                done, func_packs, func_dissolved, func_legacy_inst = (
+                    run_functional_batched(executor, config, rest, budget)
                 )
                 counters.inst_functional += done
-                if budget is not None:
-                    budget.spend(done)
             else:
-                counters.inst_functional += self._run_functional(
-                    compiled, config, rest, executor, mem, budget=budget
-                )
+                for block_id in rest:
+                    counters.inst_functional += run_per_warp(
+                        executor,
+                        self._make_block_warps(compiled.program, config,
+                                               block_id),
+                        budget,
+                    )
             functional_seconds = time.perf_counter() - t0
 
         achieved = 0.0
@@ -397,7 +405,9 @@ class Simulator:
             simulated_blocks=len(timed_blocks),
             extrapolation=extrapolation,
             functional_seconds=functional_seconds,
-            fast_path=fast_path,
+            func_packs=func_packs,
+            func_dissolved=func_dissolved,
+            func_legacy_inst=func_legacy_inst,
             timed_seconds=timed_seconds,
             timed_fast_path=timed_fast_path,
             timed_instructions=timed_instructions,
@@ -479,92 +489,35 @@ class Simulator:
         return mem, param_values, buffers, tex_layouts
 
     # ------------------------------------------------------------------
-    def _make_block_warps(self, compiled, config: LaunchConfig,
-                          block_id: int, mem: DeviceMemory) -> list[WarpState]:
-        gx, _ = config.grid
-        bx, by = config.block
-        threads = config.threads_per_block
-        ctaid = (block_id % gx, block_id // gx, 0)
-        nregs = max(compiled.program.registers_per_thread + 2, 8)
-        local_slots = max(compiled.program.local_bytes_per_thread // 4, 1)
+    @staticmethod
+    def _make_block_warps(program, config: LaunchConfig,
+                          block_id: int) -> list[WarpState]:
+        """Fresh per-warp states of one block, for the per-warp paths
+        (``run_wave``, the ``fast=False`` oracle, non-batchable
+        programs); the batched paths build a
+        :class:`~repro.gpu.batch.WarpPack` instead."""
+        nregs, local_slots = state_shape(program)
         shared = (
-            np.zeros(compiled.program.shared_bytes, dtype=np.uint8)
-            if compiled.program.shared_bytes
+            np.zeros(program.shared_bytes, dtype=np.uint8)
+            if program.shared_bytes
             else None
         )
-        warps: list[WarpState] = []
-        n_warps = -(-threads // WARP)
-        for w in range(n_warps):
-            linear = np.arange(w * WARP, (w + 1) * WARP)
-            active = linear < threads
-            linear = np.minimum(linear, threads - 1)
-            tid = (
-                (linear % bx).astype(np.uint32),
-                (linear // bx).astype(np.uint32),
-                np.zeros(WARP, dtype=np.uint32),
+        tid, active, ctaid = thread_geometry(config, [block_id])
+        return [
+            WarpState(
+                nregs=nregs,
+                local_slots=local_slots,
+                shared=shared,
+                tid=tuple(t[w] for t in tid),
+                ctaid=tuple(int(c[0]) for c in ctaid),
+                ntid=(config.block[0], config.block[1], 1),
+                nctaid=(config.grid[0], config.grid[1], 1),
+                active=active[w],
+                warp_id=w,
+                block_id=block_id,
             )
-            warps.append(
-                WarpState(
-                    nregs=nregs,
-                    local_slots=local_slots,
-                    shared=shared,
-                    tid=tid,
-                    ctaid=ctaid,
-                    ntid=(bx, by, 1),
-                    nctaid=(config.grid[0], config.grid[1], 1),
-                    active=active,
-                    warp_id=w,
-                    block_id=block_id,
-                )
-            )
-        return warps
-
-    # ------------------------------------------------------------------
-    def _run_functional(self, compiled, config, blocks, executor, mem,
-                        budget: Optional[SimBudget] = None) -> int:
-        """Execute ``blocks`` functionally only (no timing): round-robin
-        warps within a block so barriers synchronise correctly.  Returns
-        the number of warp-instructions executed."""
-        max_steps = 50_000_000
-        budget_tick = 4096
-        total_steps = 0
-        for block_id in blocks:
-            warps = self._make_block_warps(compiled, config, block_id, mem)
-            steps = 0
-            # run each warp until it blocks at a barrier or finishes
-            pending = list(warps)
-            while pending:
-                progressed = False
-                arrived: list[WarpState] = []
-                for warp in pending:
-                    while not warp.done:
-                        ins = executor.program[warp.pc]
-                        if ins.opcode.base == "BAR":
-                            break
-                        executor.step(warp)
-                        progressed = True
-                        steps += 1
-                        if steps > max_steps:
-                            raise SimulationError(
-                                "functional execution exceeded step budget"
-                            )
-                        if budget is not None and steps % budget_tick == 0:
-                            budget.spend(budget_tick)
-                    if not warp.done:
-                        arrived.append(warp)
-                if arrived and len(arrived) == len(pending):
-                    # all at the barrier: release
-                    for warp in arrived:
-                        executor.step(warp)  # executes BAR, advances pc
-                        steps += 1
-                    progressed = True
-                pending = [w for w in pending if not w.done]
-                if pending and not progressed:
-                    raise SimulationError(
-                        "barrier deadlock during functional execution"
-                    )
-            total_steps += steps
-        return total_steps
+            for w in range(config.warps_per_block)
+        ]
 
 
 def _scalar_bits(value, dtype) -> int:

@@ -60,7 +60,7 @@ from repro.testing.faultinject import fail_point
 from repro.gpu.batch import BatchEngine, WarpPack, batchable
 from repro.gpu.caches import line_groups
 from repro.gpu.coalesce import coalesce_sectors
-from repro.gpu.executor import Executor, WarpState
+from repro.gpu.executor import Executor
 from repro.gpu.predecode import ATOM_F64, ATOM_U32, PredecodedProgram
 
 __all__ = ["TimedTrace", "TraceEmitter", "build_timed_trace",
@@ -435,7 +435,7 @@ class TraceEmitter:
         return (np.concatenate([it[1] for it in items], axis=0),
                 np.concatenate([it[2] for it in items], axis=0))
 
-    def finish(self, warps: list[WarpState]) -> TimedTrace:
+    def finish(self, pack: WarpPack) -> TimedTrace:
         """Pack the pending groups and seal the trace, ``post_writes``
         (the post-build image of every logged device word) included."""
         n = self.n_warps
@@ -484,9 +484,9 @@ class TraceEmitter:
             seg_starts=[[s for s, _ in segs] for segs in segments],
             seg_ends=[[e for _, e in segs] for segs in segments],
             dyn=dyn,
-            n_warps=len(warps),
-            nregs=warps[0].regs.shape[0] if warps else 0,
-            block_ids=[w.block_id for w in warps],
+            n_warps=pack.n,
+            nregs=pack.nregs,
+            block_ids=pack.block_of.tolist(),
             post_writes=[(addrs, self.memory.read_u32(addrs))
                          for addrs, _ in self.undo],
         )
@@ -574,17 +574,18 @@ class _TracingEngine(BatchEngine):
         super()._b_tex(pack, dec, guard)
 
 
-def build_timed_trace(executor: Executor, warps: list[WarpState],
-                      shared_bytes: int, capture=None) -> Optional[TimedTrace]:
+def build_timed_trace(executor: Executor, config, wave,
+                      capture=None) -> Optional[TimedTrace]:
     """Execute one timed wave functionally and record its effect trace.
 
-    Returns ``None`` when the pack dissolves (partial-lane divergence,
-    or a subgroup split a barrier cannot survive) or any error occurs;
-    device memory is rolled back in either case so the caller can
-    rebuild pristine warps and replay the wave — results and errors
-    included — on the legacy interleaved path.  The passed ``warps``
-    are consumed (their shared-memory views are re-pointed at the pack)
-    and must not be reused after a ``None`` return.
+    ``wave`` is the wave's linear block ids; the pack is built from
+    ``config`` (a :class:`~repro.gpu.simulator.LaunchConfig`) without
+    any per-warp object.  Returns ``None`` when the pack dissolves
+    (partial-lane divergence, or a subgroup split a barrier cannot
+    survive) or any error occurs; device memory is rolled back in
+    either case so the caller can build pristine warps and replay the
+    wave — results and errors included — on the legacy interleaved
+    path.
 
     On success the trace carries ``post_writes`` — the post-build values
     of every device word the build wrote — so a trace cache can replay
@@ -597,25 +598,25 @@ def build_timed_trace(executor: Executor, warps: list[WarpState],
     after the outcome is decided.
     """
     fail_point("trace.build")
-    emitter = TraceEmitter(executor.spec, executor.memory, len(warps))
+    pack = WarpPack(executor.program, config, wave)
+    emitter = TraceEmitter(executor.spec, executor.memory, pack.n)
     engine = _TracingEngine(executor, emitter)
-    pack = WarpPack(warps, shared_bytes)
     try:
-        _, leftover = engine.run(pack)
+        _, diverged_at = engine.run(pack)
     except SimulationError:
         emitter.rollback()
         if capture is not None:
-            capture.note_wave("dissolve", len(warps),
+            capture.note_wave("dissolve", pack.n,
                               detail="build error; legacy replay")
         return None
-    if leftover is not None:
+    if diverged_at is not None:
         emitter.rollback()
         if capture is not None:
-            capture.note_wave("dissolve", len(warps),
+            capture.note_wave("dissolve", pack.n,
                               detail="divergent wave; legacy replay")
         return None
-    trace = emitter.finish(warps)
+    trace = emitter.finish(pack)
     if capture is not None:
-        capture.note_wave("trace", len(warps),
+        capture.note_wave("trace", pack.n,
                           detail=f"{len(trace.pcs)} trace rows")
     return trace

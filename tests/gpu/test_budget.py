@@ -149,3 +149,59 @@ class TestDegradationLadder:
         assert report.diagnostics == []
         assert not report.degraded
         assert "[health]" not in report.render()
+
+
+class TestFunctionalPhaseCharging:
+    """The functional phase charges each pack (batched) or block
+    (per-warp) as it completes: the budget sees exactly what ran, and a
+    tripped launch has overshot by at most one pack."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_short_budget_trips_inside_the_phase(self, fast):
+        from repro.cli import resolve_kernel
+        from repro.gpu.batch import MAX_PACK_WARPS
+
+        # a small grid, to learn what a (uniform) block costs
+        ck, config, args, _ = resolve_kernel("reduction:warp", 1024, 4)
+        per_block = Simulator(fast=fast).launch(
+            ck, config, args, timed=False
+        ).counters.inst_functional // config.num_blocks
+        ck, config, args, _ = resolve_kernel("reduction:warp", 262144, 4)
+        budget = SimBudget(max_instructions=5000)
+        with pytest.raises(SimulationTimeout):
+            Simulator(fast=fast).launch(ck, config, args, timed=False,
+                                        budget=budget)
+        assert budget.exhausted == "instructions"
+        blocks = MAX_PACK_WARPS // config.warps_per_block if fast else 1
+        assert config.num_blocks > 2 * blocks  # tripped well before the end
+        assert 5000 < budget.instructions <= max(5000 + per_block,
+                                                 blocks * per_block)
+
+    def test_blocks_past_tripped_pack_never_ran(self, saxpy_ck,
+                                                      monkeypatch):
+        # 8 blocks of 4 warps, two blocks to a pack
+        monkeypatch.setattr("repro.gpu.batch.MAX_PACK_WARPS", 8)
+        sim = Simulator(GPUSpec.small(1))
+        args = dict(saxpy_args(), x=np.arange(1, N + 1, dtype=np.float32),
+                    y=np.zeros(N, dtype=np.float32))
+        whole = sim.launch(saxpy_ck, CONFIG, args, timed=False)
+        assert whole.func_packs == 4
+        assert whole.read_buffer("y").all()
+
+        mem, params, buffers, tex = sim._stage_memory(saxpy_ck, args, {})
+        budget = SimBudget(max_instructions=10)
+        with pytest.raises(SimulationTimeout):
+            sim._launch_staged(saxpy_ck, CONFIG, mem, params, buffers, tex,
+                               timed=False, budget=budget)
+        assert budget.instructions == whole.counters.inst_functional // 4
+        offset, _, _ = buffers["y"]
+        ys = mem.buf[offset : offset + 4 * N].view(np.float32)
+        assert ys[:256].all() and not ys[256:].any()
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_untripped_budget_equals_counter(self, saxpy_ck,
+                                                            fast):
+        budget = SimBudget(max_instructions=10**9)
+        launch = Simulator(GPUSpec.small(1), fast=fast).launch(
+            saxpy_ck, CONFIG, saxpy_args(), timed=False, budget=budget)
+        assert budget.instructions == launch.counters.inst_functional > 0

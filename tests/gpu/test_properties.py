@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.gpu.batch import WarpPack
 from repro.gpu.caches import SectorCache, line_groups
 from repro.gpu.coalesce import coalesce_sectors, shared_transactions
 from repro.gpu.scheduler import Timeline
+from repro.gpu.simulator import LaunchConfig
 from repro.gpu.timed_trace import (
     _pack_coalesce,
     _pack_shared_tx,
@@ -230,3 +232,112 @@ def test_timeline_backlog_never_negative(reqs, rate, probe_t):
         tl.book(t, units)
         assert tl.backlog(t) >= 0.0
         assert tl.backlog(probe_t) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# WarpPack built from launch geometry == the per-warp construction it
+# replaced (kept here, test-local, as the oracle)
+# ---------------------------------------------------------------------------
+
+class _Program:
+    """The three sizes a pack reads off a ``Program``."""
+
+    def __init__(self, registers: int, local_bytes: int, shared_bytes: int):
+        self.registers_per_thread = registers
+        self.local_bytes_per_thread = local_bytes
+        self.shared_bytes = shared_bytes
+
+
+def _reference_planes(config, blocks, shared_bytes):
+    """One record per warp, as ``Simulator._make_block_warps`` used to
+    derive it, then stacked the way ``WarpPack.__init__`` used to."""
+    gx, _ = config.grid
+    bx, _ = config.block
+    threads = config.threads_per_block
+    warps = []
+    for block_id in blocks:
+        ctaid = (block_id % gx, block_id // gx, 0)
+        for w in range(-(-threads // 32)):
+            linear = np.arange(w * 32, (w + 1) * 32)
+            active = linear < threads
+            linear = np.minimum(linear, threads - 1)
+            tid = ((linear % bx).astype(np.uint32),
+                   (linear // bx).astype(np.uint32),
+                   np.zeros(32, dtype=np.uint32))
+            warps.append((block_id, ctaid, tid, active))
+    n = len(warps)
+    planes = {
+        "active": np.stack([w[3] for w in warps]),
+        "block_of": np.array([w[0] for w in warps]),
+        "shared_word_off": None,
+    }
+    for axis in range(3):
+        planes[f"tid{axis}"] = np.stack(
+            [w[2][axis] for w in warps]).astype(np.uint32)
+        planes[f"ctaid{axis}"] = np.array(
+            [w[1][axis] for w in warps], dtype=np.uint32).reshape(n, 1)
+    if shared_bytes:
+        stride = -(-shared_bytes // 8) * 8
+        index = {b: i for i, b in enumerate(dict.fromkeys(blocks))}
+        planes["shared_word_off"] = np.array(
+            [[(index[w[0]] * stride) >> 2] for w in warps], dtype=np.int64)
+    return planes
+
+
+launch_shapes = st.tuples(
+    st.tuples(st.integers(1, 5), st.integers(1, 4)),
+    st.sampled_from([(32, 1), (48, 1), (8, 6), (64, 1), (16, 16), (33, 3),
+                     (1, 1), (5, 1), (128, 2), (1024, 1)]),
+)
+
+
+@given(launch_shapes, st.sampled_from([0, 4, 1020, 2048]),
+       st.integers(0, 40), st.sampled_from([0, 4, 16]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_geometry_built_pack_equals_stacked_warps(shape, shared_bytes,
+                                                  registers, local_bytes,
+                                                  data):
+    grid, block = shape
+    config = LaunchConfig(grid=grid, block=block)
+    # any subset of the grid, in any order: packs hold what is left
+    # after the timed blocks, and a wave is a strided range
+    blocks = data.draw(st.lists(st.integers(0, config.num_blocks - 1),
+                                min_size=1, max_size=6, unique=True))
+    pack = WarpPack(_Program(registers, local_bytes, shared_bytes),
+                    config, blocks)
+    ref = _reference_planes(config, blocks, shared_bytes)
+    n = len(blocks) * config.warps_per_block
+    assert pack.n == n and pack.warps_per_block == config.warps_per_block
+    got = {"active": pack.active, "block_of": pack.block_of,
+           "shared_word_off": pack.shared_word_off}
+    for axis in range(3):
+        got[f"tid{axis}"] = pack.tid[axis]
+        got[f"ctaid{axis}"] = pack.ctaid[axis]
+    for name, want in ref.items():
+        if want is None:
+            assert got[name] is None, name
+            continue
+        assert got[name].shape == want.shape, name
+        assert got[name].dtype == want.dtype, name
+        assert np.array_equal(got[name], want), name
+    assert pack.ntid == (block[0], block[1], 1)
+    assert pack.nctaid == (grid[0], grid[1], 1)
+    # the state planes: zeroed, PT set, every warp live at pc 0
+    assert pack.nregs == max(registers + 2, 8)
+    assert pack.regs.shape == (pack.nregs, n, 32)
+    assert pack.regs.dtype == np.uint32 and not pack.regs.any()
+    assert pack.preds.shape == (8, n, 32)
+    assert pack.preds[7].all() and not pack.preds[:7].any()
+    assert pack.local.shape == (max(local_bytes // 4, 1), n, 32)
+    assert pack.local.dtype == np.uint32 and not pack.local.any()
+    assert pack.live.shape == (n,) and pack.live.all() and pack.pc == 0
+    if shared_bytes:
+        stride = -(-shared_bytes // 8) * 8
+        assert pack.shared.dtype == np.uint8
+        assert pack.shared.size == len(blocks) * stride
+        assert not pack.shared.any()
+    else:
+        assert pack.shared is None
+    # the base guard is a fresh array, never the pack's own plane
+    assert not np.shares_memory(pack.lanes(), pack.active)
+    assert np.array_equal(pack.lanes(), pack.active)

@@ -111,6 +111,60 @@ class TestTraceCostCounters:
         assert "trace_build_s" not in stripped[0]
 
 
+FUNC_COUNTERS = {"func_packs", "func_dissolved", "func_legacy_inst"}
+
+
+class TestFunctionalPhaseCounters:
+    """When the functional phase ran (the ladder's functional-only
+    rung), the launch span and the ``[exec]`` line say how: packs run,
+    packs dissolved, instructions finished per warp."""
+
+    @staticmethod
+    def _functional_report(ck, config, args):
+        from repro.errors import SimulationError
+        from repro.testing import fail_at
+
+        with fail_at("scheduler.run_wave_trace", SimulationError), \
+                fail_at("scheduler.run_wave", SimulationError):
+            report = GPUscout().analyze(ck, config, args, max_blocks=2)
+        assert report.mode == "functional"
+        return report
+
+    def test_dissolved_pack_in_exec_line_and_span(self):
+        import numpy as np
+
+        from repro.gpu import LaunchConfig
+        from repro.serve.protocol import strip_volatile
+        from tests.gpu.test_batch_equivalence import _build_varloop
+
+        config = LaunchConfig(grid=(8, 1), block=(64, 1))
+        report = self._functional_report(
+            _build_varloop(), config,
+            {"dst": np.zeros(8 * 64, dtype=np.float32)})
+        counters = TestTraceCostCounters._launch_counters(report)
+        assert set(counters) == TRACE_COUNTERS | FUNC_COUNTERS
+        assert (counters["func_packs"], counters["func_dissolved"]) == (1, 1)
+        assert 0 < counters["func_legacy_inst"] < \
+            report.launch.counters.inst_functional
+        text = report.render(profile=True)
+        assert "batched, 1 of 1 packs finished per-warp)" in text
+        assert "fast (batched) path" not in text
+        assert "[prof] launch:" in text and "func_legacy_inst" in text
+        doc = report_to_dict(report)
+        stripped = json.dumps(strip_volatile(doc))
+        for name in FUNC_COUNTERS:
+            assert name not in report.render()
+            assert name not in stripped
+
+    def test_uniform_kernel_keeps_plain_wording(self):
+        ck, config, args, _ = resolve_kernel("sgemm:naive", 64, 4)
+        report = self._functional_report(ck, config, args)
+        counters = TestTraceCostCounters._launch_counters(report)
+        assert counters["func_packs"] == 1
+        assert counters["func_dissolved"] == counters["func_legacy_inst"] == 0
+        assert "fast (batched) path)" in report.render()
+
+
 class TestEvaluateCounters:
     """The batched predictor and the slicer say how much they did:
     ``pred_pcs``/``pred_rows`` and ``blame_pcs``, profile-only."""
