@@ -145,6 +145,15 @@ def resolve_kernel(spec: str, size: int, compute_iterations: int = 8):
     raise SystemExit(f"unknown kernel family {family!r}; try list-kernels")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--size`` / ``--max-blocks``: a usage error
+    (exit 2) for what the served API rejects as a ``ProtocolError``."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpuscout",
@@ -157,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_an.add_mutually_exclusive_group(required=True)
     src.add_argument("--kernel", help="built-in kernel spec (see list-kernels)")
     src.add_argument("--sass", help="path to an nvdisasm-style SASS listing")
-    p_an.add_argument("--size", type=int, default=256,
+    p_an.add_argument("--size", type=_positive_int, default=256,
                       help="problem size (threads / matrix dim / grid dim)")
     p_an.add_argument("--compute-iterations", type=int, default=8,
                       help="mixbench compute iterations")
     p_an.add_argument("--dry-run", action="store_true",
                       help="static SASS analysis only (no GPU involvement)")
-    p_an.add_argument("--max-blocks", type=int, default=None,
+    p_an.add_argument("--max-blocks", type=_positive_int, default=8,
                       help="cap simulated blocks (extrapolate counters)")
     p_an.add_argument("--color", action="store_true", help="colored output")
     p_an.add_argument("--html", metavar="PATH", default=None,
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="path to an nvdisasm-style SASS listing")
     p_ov.add_argument("--kernel", default=None,
                       help="built-in kernel spec instead of a SASS file")
-    p_ov.add_argument("--size", type=int, default=256,
+    p_ov.add_argument("--size", type=_positive_int, default=256,
                       help="problem size (with --sampled)")
     p_ov.add_argument("--sampled", action="store_true",
                       help="also simulate the kernel and mark sampled "
@@ -219,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--old", required=True, help="baseline kernel spec")
     p_cmp.add_argument("--new", required=True, help="modified kernel spec")
-    p_cmp.add_argument("--size", type=int, default=256)
+    p_cmp.add_argument("--size", type=_positive_int, default=256)
     p_cmp.add_argument("--compute-iterations", type=int, default=8)
-    p_cmp.add_argument("--max-blocks", type=int, default=8)
+    p_cmp.add_argument("--max-blocks", type=_positive_int, default=8)
     p_cmp.add_argument("--html", metavar="PATH", default=None,
                        help="write the comparison as HTML")
 
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the full built-in suite)")
     p_val.add_argument("--smoke", action="store_true",
                        help="validate only the fast smoke subset (CI gate)")
-    p_val.add_argument("--size", type=int, default=128,
+    p_val.add_argument("--size", type=_positive_int, default=128,
                        help="problem size for every kernel")
     p_val.add_argument("--json", metavar="PATH", default=None,
                        help="also write the per-access results as JSON "
@@ -394,7 +403,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
         report = scout.analyze(
             ck, config, kargs, textures=textures,
             dry_run=args.dry_run,
-            max_blocks=args.max_blocks or 8,
+            max_blocks=args.max_blocks,
             trace=capture,
         )
         if args.trace and capture is None:

@@ -15,13 +15,13 @@ converted into :class:`~repro.errors.Diagnostic` records on the
 :class:`ScoutReport` instead of aborting the run, so a crash in one
 analysis (or in sampling, metric collection, …) still yields every
 other stage's results.  The dynamic stage additionally degrades down a
-ladder — trace-driven timed → legacy timed → functional-only →
-static-only — when the simulator fails or a
-:class:`~repro.gpu.budget.SimBudget` limit trips; each demotion is
-recorded as a diagnostic and the report's ``mode`` names the rung that
-finally succeeded.  Truly unexpected (non-:class:`~repro.errors.ReproError`)
-crashes also write a reproducer bundle to a temp dir (see
-:mod:`repro.core.reproducer`) named in the diagnostic.
+ladder — trace-driven timed → functional-only → static-only — when the
+simulator fails or a :class:`~repro.gpu.budget.SimBudget` limit trips;
+each demotion is recorded as a diagnostic and the report's ``mode``
+names the rung that finally succeeded.  Truly unexpected
+(non-:class:`~repro.errors.ReproError`) crashes also write a reproducer
+bundle to a temp dir (see :mod:`repro.core.reproducer`) named in the
+diagnostic.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.cudalite.compiler import CompiledKernel
 from repro.errors import (
     AnalysisError,
     Diagnostic,
+    LaunchError,
     ReproError,
     diagnostic_from_exception,
 )
@@ -65,6 +66,10 @@ from repro.sass.parser import parse_sass
 from repro.testing.faultinject import fail_point
 
 __all__ = ["GPUscout", "ScoutReport", "StaticArtifacts"]
+
+#: the degradation ladder's launching rungs, most to least capable, as
+#: (name, timed); below the last one is ``static-only`` (no launch)
+LADDER = (("timed-trace", True), ("functional-only", False))
 
 
 def _record_run_telemetry(prof: "Profiler", mode: str,
@@ -622,14 +627,15 @@ class GPUscout:
     ) -> tuple[Optional[LaunchResult], str]:
         """Run the dynamic stage down the degradation ladder.
 
-        Rungs, most to least capable: the trace-driven timed path, the
-        legacy timed path (the reference scheduler), functional-only
-        execution (``timed=False`` — fills counters' functional side
-        but no cycles/stalls), and finally static-only (no launch at
-        all).  Every demotion is recorded via ``note``; a latched
-        :class:`~repro.gpu.budget.SimBudget` makes the remaining rungs
-        fail fast, so budget exhaustion cascades straight to
-        static-only.
+        :data:`LADDER`, most to least capable: the trace-driven timed
+        launch, then functional-only execution (``timed=False`` — fills
+        counters' functional side but no cycles/stalls); below both is
+        static-only (no launch at all).  Which engine a launch runs on
+        is the simulator's business, not a rung's.  Every demotion is
+        recorded via ``note``.  A :class:`~repro.errors.LaunchError` (a
+        function of the inputs, raised before an instruction runs) or a
+        latched :class:`~repro.gpu.budget.SimBudget` would fail every
+        lower rung the same way, so either ends the ladder at once.
 
         Each rung attempt runs in its own span; a failed attempt's span
         is renamed ``launch:retry`` so abandoned-rung wall time is
@@ -639,14 +645,8 @@ class GPUscout:
         shows the run that produced the report.
         """
         prof = prof if prof is not None else NULL_PROFILER
-        rungs: list[tuple[str, bool, bool]] = [
-            ("timed-trace", True, True),
-            ("timed-legacy", False, True),
-            ("functional-only", True, False),
-        ]
-        for i, (rung, rung_fast, timed) in enumerate(rungs):
-            fallback = rungs[i + 1][0] if i + 1 < len(rungs) else "static-only"
-            sim = Simulator(self.spec, fast=rung_fast)
+        sim = Simulator(self.spec)
+        for i, (rung, timed) in enumerate(LADDER):
             capture_mark = trace.mark() if trace is not None and \
                 hasattr(trace, "mark") else None
             with prof.span(f"launch:{rung}") as span:
@@ -671,6 +671,14 @@ class GPUscout:
                         "gpuscout_engine_rung_demotions_total",
                         "Degradation-ladder rungs abandoned mid-run",
                         rung=rung).inc()
+                    # no lower rung can fix the inputs or un-latch the
+                    # budget: do not stage memory again to find out
+                    last = (
+                        i + 1 == len(LADDER)
+                        or isinstance(exc, LaunchError)
+                        or (budget is not None and bool(budget.exhausted))
+                    )
+                    fallback = "static-only" if last else LADDER[i + 1][0]
                     d = note("launch", "simulator.launch", exc,
                              program=program)
                     d.detail["rung"] = rung
@@ -679,6 +687,8 @@ class GPUscout:
                         f"{rung} simulation failed ({d.message}); "
                         f"falling back to {fallback}"
                     )
+                    if last:
+                        break
         return None, "static"
 
     # ------------------------------------------------------------------

@@ -10,9 +10,9 @@ axes:
 * ``max_wall_seconds`` — host wall-clock since the budget was armed.
 
 Guards raise :class:`~repro.errors.SimulationTimeout` and latch: once a
-limit trips, every later :meth:`check`/:meth:`spend` fails fast, so the
-degradation ladder cascades straight to the static pillar instead of
-burning the remaining rungs re-discovering the same exhaustion.
+limit trips, every later :meth:`check`/:meth:`spend` fails fast, and the
+degradation ladder reads ``exhausted`` to go straight to the static
+pillar instead of launching the remaining rungs to re-discover it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class SimBudget:
         if (self._deadline is not None
                 and time.perf_counter() > self._deadline):
             self._trip(
-                "wall-clock", f"deadline of {self.max_wall_seconds}s passed"
+                "wall-clock",
+                f"wall-clock deadline of {self.max_wall_seconds}s passed",
             )
 
     def spend(self, instructions: int, cycles: float = 0.0) -> None:

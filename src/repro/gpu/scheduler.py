@@ -311,13 +311,13 @@ class SMScheduler:
                     reason if dep_stall > 0 else None,
                 )
             effect = self.executor.step(rt.state)
-            issue_cost = self._issue_cost(effect, pc)
+            issue_cost = self._issue_cost(effect)
             self.sp_next[sp] = t_issue + issue_cost
             rt.earliest = t_issue + issue_cost
             rt.forced_wait = 0.0
             rt.forced_reason = None
             self._account(pc, ins, effect)
-            self._apply_timing(rt, t_issue, effect, pc)
+            self._apply_timing(rt, t_issue, effect)
             if budget is not None:
                 budget_pending += 1
                 if budget_pending >= _BUDGET_STRIDE:
@@ -1084,7 +1084,7 @@ class SMScheduler:
         return wave_end
 
     # ------------------------------------------------------------------
-    def _issue_cost(self, effect: Effect, pc: int) -> float:
+    def _issue_cost(self, effect: Effect) -> float:
         if effect.kind == "fp64":
             return float(self.spec.issue_fp64)
         if effect.kind == "mufu":
@@ -1142,8 +1142,8 @@ class SMScheduler:
         return ready, reason
 
     # ------------------------------------------------------------------
-    def _apply_timing(self, rt: _WarpRT, t_issue: float, effect: Effect,
-                      pc: int) -> None:
+    def _apply_timing(self, rt: _WarpRT, t_issue: float,
+                      effect: Effect) -> None:
         """Book pipeline resources and set destination-register ready
         times for ``effect``."""
         spec = self.spec

@@ -168,13 +168,16 @@ class LaunchResult:
 class Simulator:
     """Launches compiled kernels on the simulated GPU."""
 
-    def __init__(self, spec: Optional[GPUSpec] = None, fast: bool = True):
+    def __init__(self, spec: Optional[GPUSpec] = None):
         self.spec = spec or GPUSpec.v100()
-        #: use the batched functional engine (see :mod:`repro.gpu.batch`)
-        #: and the trace-driven timed scheduler; ``False`` is the
-        #: reference path the equivalence suites and the engine's
-        #: ``timed-legacy`` ladder rung run
-        self.fast = fast
+
+    def _engines(self, decoded) -> tuple[bool, bool]:
+        """Which engines may run ``decoded``: (trace-driven timed waves,
+        batched functional phase).  Read off the program — float-atomic
+        ordering, unhandled opcodes — never set by a caller; a launch
+        that gets ``False`` runs per-warp (``run_wave``,
+        ``run_per_warp``)."""
+        return timed_batchable(decoded), batchable(decoded)
 
     # ------------------------------------------------------------------
     def launch(
@@ -185,7 +188,6 @@ class Simulator:
         textures: Optional[dict[str, Union[TextureDesc, np.ndarray]]] = None,
         max_blocks: Optional[int] = None,
         functional_all: bool = True,
-        sm_id: int = 0,
         trace=None,
         budget: Optional[SimBudget] = None,
         timed: bool = True,
@@ -212,7 +214,7 @@ class Simulator:
         return self._launch_staged(
             compiled, config, mem, param_values, buffers, tex_layouts,
             max_blocks=max_blocks, functional_all=functional_all,
-            sm_id=sm_id, trace=trace, budget=budget, timed=timed,
+            trace=trace, budget=budget, timed=timed,
         )
 
     # ------------------------------------------------------------------
@@ -227,7 +229,6 @@ class Simulator:
         hierarchy: Optional[MemoryHierarchy] = None,
         max_blocks: Optional[int] = None,
         functional_all: bool = True,
-        sm_id: int = 0,
         trace=None,
         budget: Optional[SimBudget] = None,
         timed: bool = True,
@@ -262,16 +263,11 @@ class Simulator:
             raise LaunchError(
                 f"max_blocks must be positive, got {max_blocks}"
             )
-        # pure range arithmetic: huge grids must not materialise
-        # O(num_blocks) Python lists before a single instruction runs
+        # SM 0's share, as pure range arithmetic: huge grids must not
+        # materialise O(num_blocks) Python lists before a single
+        # instruction runs
         num_blocks = config.num_blocks
-        my_blocks = (
-            range(sm_id, num_blocks, spec.num_sms)
-            if 0 <= sm_id < spec.num_sms
-            else range(0, 0)
-        )
-        if len(my_blocks) == 0:
-            my_blocks = range(0, 1)
+        my_blocks = range(0, num_blocks, spec.num_sms)
         if timed:
             timed_blocks = (
                 my_blocks[:max_blocks] if max_blocks is not None
@@ -284,7 +280,8 @@ class Simulator:
 
         counters.blocks_launched = len(timed_blocks)
         resident = occ.active_blocks
-        use_trace = timed and self.fast and timed_batchable(executor.decoded)
+        trace_ok, batch_ok = self._engines(executor.decoded)
+        use_trace = timed and trace_ok
         timed_fast_path = use_trace
         # content-addressed per-wave trace cache: repeat launches skip
         # the build entirely (budgeted runs opt out — skipping build
@@ -292,7 +289,7 @@ class Simulator:
         cache = trace_cache() if use_trace and budget is None else None
         launch_key = (
             cache.launch_key(compiled, config, param_values, tex_layouts,
-                             mem, spec, sm_id)
+                             mem, spec)
             if cache is not None else None
         )
         # wave-boundary observability hook (TimelineCapture only; the
@@ -364,7 +361,7 @@ class Simulator:
             # range membership is O(1): no timed-block set, no list
             rest = (b for b in range(num_blocks) if b not in timed_blocks)
             t0 = time.perf_counter()
-            if self.fast and batchable(executor.decoded):
+            if batch_ok:
                 done, func_packs, func_dissolved, func_legacy_inst = (
                     run_functional_batched(executor, config, rest, budget)
                 )
@@ -493,8 +490,7 @@ class Simulator:
     def _make_block_warps(program, config: LaunchConfig,
                           block_id: int) -> list[WarpState]:
         """Fresh per-warp states of one block, for the per-warp paths
-        (``run_wave``, the ``fast=False`` oracle, non-batchable
-        programs); the batched paths build a
+        (``run_wave``, ``run_per_warp``); the batched paths build a
         :class:`~repro.gpu.batch.WarpPack` instead."""
         nregs, local_slots = state_shape(program)
         shared = (

@@ -279,7 +279,7 @@ class TraceCache:
 
     # -- keys ------------------------------------------------------------
     def launch_key(self, compiled, config, param_values: dict,
-                   tex_layouts: dict, mem, spec, sm_id: int) -> tuple:
+                   tex_layouts: dict, mem, spec) -> tuple:
         """Fingerprint everything the trace build can observe.
 
         Computed once per launch; the CRC over the device image is the
@@ -302,7 +302,6 @@ class TraceCache:
             len(buf), zlib.crc32(buf),
             spec.name, spec.sector_bytes, spec.l1_line_bytes,
             spec.l2_line_bytes, spec.smem_banks, spec.smem_bank_bytes,
-            sm_id,
         )
 
     @staticmethod
@@ -423,11 +422,10 @@ _CACHE = TraceCache()
 
 
 def configure_trace_cache(directory=None,
-                          max_store_bytes: Optional[int] = None,
-                          max_bytes: Optional[int] = None) -> TraceCache:
-    """(Re)configure the shared cache: attach/detach the disk tier and
-    adjust the byte caps.  Service workers call this at startup with
-    the server's cache directory."""
+                          max_store_bytes: Optional[int] = None) -> TraceCache:
+    """(Re)configure the shared cache: attach (capped at
+    ``max_store_bytes``) or detach the disk tier.  Service workers call
+    this at startup with the server's cache directory."""
     if directory is not None:
         _CACHE.store = FileStore(
             directory,
@@ -436,8 +434,6 @@ def configure_trace_cache(directory=None,
         )
     else:
         _CACHE.store = None
-    if max_bytes is not None:
-        _CACHE.max_bytes = max_bytes
     return _CACHE
 
 

@@ -62,7 +62,7 @@ _POOL_RESPAWNS = _METRICS.counter(
 
 
 def _worker_main(worker_id: int, generation: int, task_q, result_q,
-                 cache_dir, deadline) -> None:
+                 cache_dir, deadline, cache_mb) -> None:
     """Worker-process entry point: serve requests until the ``None``
     sentinel arrives."""
     from repro.obs.metrics import REGISTRY, armed, set_exemplar
@@ -72,7 +72,7 @@ def _worker_main(worker_id: int, generation: int, task_q, result_q,
     # place so this worker's snapshots report only its own work
     REGISTRY.reset()
     runner = KernelRunner(cache_dir=cache_dir, deadline=deadline,
-                          worker_id=worker_id)
+                          worker_id=worker_id, cache_mb=cache_mb)
     while True:
         item = task_q.get()
         if item is None:
@@ -127,19 +127,19 @@ class WorkerPool:
 
     def __init__(self, n_workers: int, cache_dir: Optional[str] = None,
                  deadline: Optional[float] = None,
-                 mp_context: Optional[str] = None):
+                 cache_mb: int = 256):
         import multiprocessing as mp
 
         if n_workers < 1:
             raise ValueError("WorkerPool needs at least one worker")
-        if mp_context is None:
-            # fork is dramatically cheaper to warm up (the parent's
-            # imported modules come along); fall back where unsupported
-            mp_context = "fork" if "fork" in mp.get_all_start_methods() \
-                else None
-        self._ctx = mp.get_context(mp_context)
+        # fork is dramatically cheaper to warm up (the parent's
+        # imported modules come along); fall back where unsupported
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None)
         self.cache_dir = cache_dir
         self.deadline = deadline
+        #: size cap per disk cache tier, handed to every worker's runner
+        self.cache_mb = cache_mb
         self._result_q = self._ctx.Queue()
         self._lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
@@ -166,7 +166,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, generation, queue, self._result_q,
-                  self.cache_dir, self.deadline),
+                  self.cache_dir, self.deadline, self.cache_mb),
             daemon=True,
             name=f"gpuscout-worker-{wid}",
         )

@@ -118,7 +118,7 @@ class ScoutServer:
             from repro.serve.pool import WorkerPool
 
             self.pool = WorkerPool(workers, cache_dir=cache_dir,
-                                   deadline=deadline)
+                                   deadline=deadline, cache_mb=cache_mb)
         #: the inline runner doubles as the server-side L3 front cache
         #: (its ReportCache shares the disk tier with the workers)
         self.runner = KernelRunner(cache_dir=cache_dir, deadline=deadline,

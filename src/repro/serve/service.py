@@ -90,11 +90,10 @@ class KernelRunner:
     def __init__(self, cache_dir: Optional[str] = None,
                  deadline: Optional[float] = None,
                  worker_id: Optional[int] = None,
-                 static_capacity: int = 128,
                  cache_mb: int = 256):
         self.deadline = deadline
         self.worker_id = worker_id
-        self.static = StaticCache(capacity=static_capacity)
+        self.static = StaticCache()
         #: resolved built-in kernels: (spec, size, iters) -> tuple;
         #: reuse keeps ``id(compiled)`` stable, which is what makes the
         #: in-memory L2 tier hit across repeat submissions

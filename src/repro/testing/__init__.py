@@ -1,9 +1,11 @@
 """Testing utilities for the GPUscout reproduction.
 
-Currently one member: the deterministic fault-injection harness in
+Re-exports the deterministic fault-injection harness in
 :mod:`repro.testing.faultinject`, which the chaos-test suite uses to
 prove every single-point failure still yields a well-formed partial
-report.
+report.  :mod:`repro.testing.reference` (the per-warp equivalence
+oracle) is deliberately *not* imported here: ``repro.gpu`` imports this
+package for ``fail_point``, and the oracle imports ``repro.gpu``.
 """
 
 from repro.testing.faultinject import (

@@ -44,6 +44,53 @@ def saxpy():
     return build_saxpy()
 
 
+def build_varloop_barrier():
+    """Loop trip counts diverge *between warps of one block* upstream of
+    ``__syncthreads()``: per-warp segments cannot reorder warps across a
+    barrier they must re-meet at, so this is the one divergence shape
+    whose timed build dissolves and replays on ``run_wave`` — the
+    per-warp interpreter reached by input alone.  Launch it as
+    ``grid=(2, 1), block=(32, 2)`` with a 128-float ``dst``."""
+    kb = KernelBuilder("varloop_barrier")
+    dst = kb.param("dst", ptr(f32))
+    tid = kb.let("tid", kb.thread_idx.y * 32 + kb.thread_idx.x, dtype=i32)
+    g = kb.let("g", kb.block_idx.x * 64 + tid, dtype=i32)
+    buf = kb.shared_array("buf", f32, 64)
+    acc = kb.let("acc", 0.0, dtype=f32)
+    with kb.for_range("i", 0, kb.thread_idx.y + 1):
+        kb.assign(acc, acc + 1.5)
+    buf[tid] = acc
+    kb.sync_threads()
+    # read the partner lane in the *other* warp: wrong unless both
+    # warps genuinely met at the barrier
+    kb.store(dst, g, buf[tid ^ 32])
+    return compile_kernel(kb.build())
+
+
+def make_simulator(fast: bool, spec=None) -> Simulator:
+    """The product simulator, or (``fast=False``) the per-warp oracle
+    the equivalence suites compare it against."""
+    from repro.testing.reference import ReferenceSimulator
+
+    return (Simulator if fast else ReferenceSimulator)(spec)
+
+
+@pytest.fixture
+def stage_memory_calls(monkeypatch):
+    """Spy on ``Simulator._stage_memory``: grows by one per
+    ``sim.launch`` the degradation ladder attempted (call counts, not
+    wall time)."""
+    calls = []
+    real = Simulator._stage_memory
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "_stage_memory", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def saxpy_launch(sim, saxpy):
     n = 1024

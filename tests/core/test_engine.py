@@ -106,6 +106,37 @@ class TestDryRun:
             scout.analyze(12345, dry_run=True)
 
 
+class TestLaunchErrorEndsTheLadder:
+    """Every ``LaunchError`` is a function of the inputs, raised before
+    an instruction runs: no lower rung can fix it, so the ladder goes
+    straight to static-only instead of staging memory per rung."""
+
+    @pytest.mark.parametrize("broken", ["max_blocks", "missing_argument"])
+    def test_one_diagnostic_one_staging(self, scout, saxpy, broken,
+                                        stage_memory_calls):
+        n = 1024
+        args = {"x": np.zeros(n, np.float32), "y": np.zeros(n, np.float32),
+                "a": 2.0, "n": n}
+        max_blocks = None
+        if broken == "max_blocks":
+            max_blocks = -3
+        else:
+            del args["y"]
+        report = scout.analyze(
+            saxpy, LaunchConfig(grid=(8, 1), block=(128, 1)), args,
+            max_blocks=max_blocks,
+        )
+        assert report.mode == "static"
+        assert report.launch is None
+        assert len(stage_memory_calls) == 1
+        (d,) = report.diagnostics
+        assert d.error == "LaunchError"
+        assert d.detail["rung"] == "timed-trace"
+        assert d.detail["fallback"] == "static-only"
+        assert "static-only" in d.message
+        assert report.findings  # the static pillar still reports
+
+
 class TestDynamicRun:
     def test_three_pillars_present(self, saxpy_report):
         assert not saxpy_report.dry_run

@@ -18,6 +18,8 @@ from repro.gpu.executor import Executor, WarpState
 from repro.gpu.simulator import LaunchConfig, Simulator
 from repro.gpu.timed_trace import build_timed_trace
 
+from tests.conftest import make_simulator
+
 # every case-study family from the paper, two grid sizes each
 CASES = [
     ("sgemm:naive", 64), ("sgemm:naive", 96),
@@ -40,7 +42,7 @@ CASES = [
 
 def _run(spec: str, size: int, fast: bool):
     ck, config, args, textures = resolve_kernel(spec, size, 4)
-    sim = Simulator(fast=fast)
+    sim = make_simulator(fast)
     return sim.launch(ck, config, args, textures=textures,
                       max_blocks=1, functional_all=True)
 
@@ -85,7 +87,7 @@ class TestDivergenceFallback:
         config = LaunchConfig(grid=(8, 1), block=(64, 1))
         results = {}
         for fast in (False, True):
-            sim = Simulator(fast=fast)
+            sim = make_simulator(fast)
             out = np.zeros(8 * 64, dtype=np.float32)
             results[fast] = sim.launch(ck, config, {"dst": out},
                                        max_blocks=1, functional_all=True)
@@ -101,7 +103,7 @@ class TestDivergenceFallback:
         config = LaunchConfig(grid=(6, 1), block=(96, 1))
         counts = []
         for fast in (False, True):
-            sim = Simulator(fast=fast)
+            sim = make_simulator(fast)
             out = np.zeros(6 * 96, dtype=np.float32)
             r = sim.launch(ck, config, {"dst": out},
                            max_blocks=1, functional_all=True)
@@ -120,7 +122,7 @@ class TestDivergenceFallback:
         assert r.fast_path
         assert (r.func_packs, r.func_dissolved) == (1, 1)
         assert 0 < r.func_legacy_inst < r.counters.inst_functional
-        legacy = Simulator(fast=False).launch(ck, config, {"dst": out},
+        legacy = make_simulator(False).launch(ck, config, {"dst": out},
                                               max_blocks=1,
                                               functional_all=True)
         assert not legacy.fast_path
@@ -138,7 +140,7 @@ class TestDivergenceFallback:
         results = {}
         for fast in (False, True):
             out = np.zeros(6 * 48, dtype=np.float32)
-            results[fast] = Simulator(fast=fast).launch(
+            results[fast] = make_simulator(fast).launch(
                 ck, config, {"dst": out}, max_blocks=1, functional_all=True)
         legacy, fast = results[False], results[True]
         assert fast.func_dissolved == 1
@@ -273,7 +275,7 @@ class TestDenseAndMaskedShared:
         for fast in (False, True):
             args = {"dst": np.zeros(5 * threads, dtype=np.float32),
                     "shift": 64}
-            results[fast] = Simulator(fast=fast).launch(
+            results[fast] = make_simulator(fast).launch(
                 ck, config, args, timed=False)
         legacy, fast = results[False], results[True]
         assert dense_seen == [dense] * 3  # two STS and an LDS, one pack
@@ -296,7 +298,7 @@ class TestDenseAndMaskedShared:
         for fast in (False, True):
             with pytest.raises(SimulationError,
                                match="shared memory access out of bounds"):
-                Simulator(fast=fast).launch(ck, config, args, timed=False)
+                make_simulator(fast).launch(ck, config, args, timed=False)
         assert dense_seen == [dense] * 3
 
 

@@ -24,6 +24,8 @@ from repro.gpu.simulator import LaunchConfig, Simulator
 from repro.gpu.timed_trace import timed_batchable
 from repro.sampling.pcsampler import PCSampler
 
+from tests.conftest import build_varloop_barrier, make_simulator
+
 # every case-study family from the paper; reduction:* exercises the
 # order-tagged float-atomic replay (deferred commit in legacy heap order)
 CASES = [
@@ -47,7 +49,7 @@ CASES = [
 
 def _run(spec: str, size: int, fast: bool):
     ck, config, args, textures = resolve_kernel(spec, size, 4)
-    sim = Simulator(fast=fast)
+    sim = make_simulator(fast)
     res = sim.launch(ck, config, args, textures=textures,
                      max_blocks=2, functional_all=True)
     return ck, res
@@ -100,27 +102,6 @@ def _build_varloop_rmw():
     return compile_kernel(kb.build())
 
 
-def _build_varloop_barrier():
-    """Loop trip counts diverge *between warps of one block* upstream of
-    ``__syncthreads()``: per-warp segments cannot reorder warps across a
-    barrier they must re-meet at, so this is the one divergence shape
-    that still dissolves to the legacy interleaved path."""
-    kb = KernelBuilder("varloop_barrier")
-    dst = kb.param("dst", ptr(f32))
-    tid = kb.let("tid", kb.thread_idx.y * 32 + kb.thread_idx.x, dtype=i32)
-    g = kb.let("g", kb.block_idx.x * 64 + tid, dtype=i32)
-    buf = kb.shared_array("buf", f32, 64)
-    acc = kb.let("acc", 0.0, dtype=f32)
-    with kb.for_range("i", 0, kb.thread_idx.y + 1):
-        kb.assign(acc, acc + 1.5)
-    buf[tid] = acc
-    kb.sync_threads()
-    # read the partner lane in the *other* warp: wrong unless both
-    # warps genuinely met at the barrier
-    kb.store(dst, g, buf[tid ^ 32])
-    return compile_kernel(kb.build())
-
-
 class TestDivergenceSegments:
     def test_divergent_wave_runs_trace_timed(self):
         """grid=(81,) on an 80-SM part puts blocks 0 and 80 in SM0's
@@ -133,7 +114,7 @@ class TestDivergenceSegments:
         n = 81 * 64
         results = {}
         for fast in (False, True):
-            sim = Simulator(fast=fast)
+            sim = make_simulator(fast)
             args = {"dst": np.full(n, 0.25, dtype=np.float32),
                     "cnt": np.zeros(1, dtype=np.uint32)}
             results[fast] = sim.launch(ck, config, args,
@@ -161,12 +142,12 @@ class TestDivergenceSegments:
         """Intra-block divergence upstream of a barrier cannot be
         segmented (the block's warps must re-meet at the BAR), so the
         build dissolves and replays legacy — still bit-identical."""
-        ck = _build_varloop_barrier()
+        ck = build_varloop_barrier()
         config = LaunchConfig(grid=(2, 1), block=(32, 2))
         n = 2 * 64
         results = {}
         for fast in (False, True):
-            sim = Simulator(fast=fast)
+            sim = make_simulator(fast)
             args = {"dst": np.zeros(n, dtype=np.float32)}
             results[fast] = sim.launch(ck, config, args,
                                        max_blocks=2, functional_all=True)
@@ -208,7 +189,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             ck, config, args, textures = resolve_kernel("sgemm:naive", 64, 4)
-            sim = Simulator(fast=fast)
+            sim = make_simulator(fast)
             r = sim.launch(ck, config, args, textures=textures,
                            max_blocks=2, functional_all=True)
             runs.append(r)
@@ -235,7 +216,7 @@ class TestSessionWarmCaches:
         for fast in (False, True):
             sess = DeviceSession()
             if not fast:
-                sess.sim = Simulator(sess.spec, fast=False)  # the oracle
+                sess.sim = make_simulator(False, sess.spec)  # the oracle
             ck, config, args, _ = resolve_kernel("sgemm:naive", 64, 4)
             # upload once and reuse the handles, so the second launch
             # touches the same addresses the first one warmed

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.cli import resolve_kernel
-from repro.gpu.simulator import Simulator
 from repro.obs import TimelineCapture
 from repro.sampling.pcsampler import PCSampler
+
+from tests.conftest import make_simulator
 
 # one kernel per case-study family, covering the trace-driven path,
 # the legacy path and the float-atomic (trace-ineligible) fallback
@@ -28,7 +29,7 @@ CASES = [
 
 def _run(spec, size, fast, capture=None):
     ck, config, args, textures = resolve_kernel(spec, size, 4)
-    sim = Simulator(fast=fast)
+    sim = make_simulator(fast)
     res = sim.launch(ck, config, args, textures=textures,
                      max_blocks=2, functional_all=True, trace=capture)
     return res
@@ -113,7 +114,7 @@ class TestCaptureMechanics:
         assert issued[-1] > 0
 
     def test_warps_are_block_warp_pairs(self):
-        from repro.gpu import GPUSpec
+        from repro.gpu import GPUSpec, Simulator
 
         ck, config, args, textures = resolve_kernel(
             "histogram:global", 2048, 4)

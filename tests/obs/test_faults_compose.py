@@ -18,7 +18,11 @@ from repro.obs import TimelineCapture, to_chrome_trace, validate_chrome_trace
 from repro.testing import fail_at, fail_points
 
 from tests.conftest import LOOP_SASS, build_saxpy
-from tests.test_chaos import SCENARIOS, assert_reached_through_ladder
+from tests.test_chaos import (
+    SCENARIOS,
+    assert_reached_through_ladder,
+    scenario_launch,
+)
 
 N = 512
 CONFIG = LaunchConfig(grid=(4, 1), block=(128, 1))
@@ -64,7 +68,7 @@ def test_trace_and_profile_survive_every_fault(site, saxpy_ck):
             for extra in scenario.get("also_arm", []):
                 stack.enter_context(fail_at(extra, SimulationError))
             fp = stack.enter_context(fail_at(site, exc))
-            report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
+            report = scout.analyze(*scenario_launch(scenario, saxpy_ck),
                                    max_blocks=2, trace=capture)
     assert fp.triggered >= 1, f"fail-point {site} never reached"
     assert_reached_through_ladder(scenario, report)
@@ -103,13 +107,13 @@ class TestRetryAttribution:
         with fail_at("scheduler.run_wave_trace", SimulationError):
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                    max_blocks=2)
-        assert report.mode == "full"
+        assert report.mode == "functional"
         names = [s.name for s in report.profile.spans]
         retries = [s for s in report.profile.spans
                    if s.name == "launch:retry"]
         assert len(retries) == 1
         assert retries[0].counters["rung"] == "timed-trace"
-        assert "launch:timed-legacy" in names
+        assert "launch:functional-only" in names
         # retry time rolls up under the depth-0 launch stage, untainted
         assert retries[0].depth == 1
 
@@ -119,17 +123,18 @@ class TestRetryAttribution:
 
         The trace build succeeds (recording a ``trace`` wave note and a
         counter sample) before ``run_wave_trace`` dies, so without the
-        engine's mark/reset_to rollback a stale note would survive into
-        the winning legacy rung's capture."""
+        engine's mark/reset_to rollback a stale note would survive —
+        and the winning functional-only rung records nothing of its
+        own to hide it behind."""
         capture = TimelineCapture()
         scout = GPUscout(spec=GPUSpec.small(1))
         with fail_at("scheduler.run_wave_trace", SimulationError) as fp:
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
                                    max_blocks=2, trace=capture)
         assert fp.triggered == 1
-        assert report.mode == "full"
-        assert not report.launch.timed_fast_path  # legacy rung won
-        assert capture.events, "winning rung recorded no events"
-        assert capture.wave_notes, "winning rung recorded no wave notes"
+        assert report.mode == "functional"
+        assert not report.launch.timed_fast_path
         # no leftovers from the abandoned trace-driven rung
-        assert all(n.kind == "legacy" for n in capture.wave_notes)
+        assert capture.wave_notes == []
+        assert capture.counter_samples == []
+        assert capture.events == []

@@ -163,3 +163,29 @@ class TestPooledServer:
             assert status == 200
             assert all(r["cache"] == "l3" for r in second["responses"])
         configure_trace_cache(None)
+
+    def test_cache_mb_caps_the_workers_stores(self, tmp_path):
+        """With workers every disk put happens in a worker, so that is
+        where ``--cache-mb`` has to arrive: both stores stay under the
+        cap while more than the cap is written through them."""
+        from repro.serve.pool import WorkerPool
+
+        cap = 1024 * 1024
+        # ~15 KB of report each; the sgemm traces are 40-400 KB apiece
+        reqs = [{"kernel": "heat:naive", "size": 64 + 8 * i,
+                 "max_blocks": blocks, "extended": True}
+                for i in range(40) for blocks in (1, 2)]
+        reqs += [{"kernel": "sgemm:naive", "size": size, "max_blocks": 2}
+                 for size in range(64, 289, 32)]
+        written = {"reports": {}, "traces": {}}
+        with WorkerPool(1, cache_dir=str(tmp_path), cache_mb=1) as pool:
+            for req in reqs:
+                env = pool.submit(req, arch_key="v100", timeout=300)
+                assert env["ok"], env
+                for tier, ever in written.items():
+                    now = {f.name: f.stat().st_size
+                           for f in (tmp_path / tier).glob("*.bin")}
+                    assert sum(now.values()) <= cap, (tier, req)
+                    ever.update(now)
+        for tier, ever in written.items():
+            assert sum(ever.values()) > cap, f"{tier}: cap never binding"

@@ -4,9 +4,10 @@ report — findings from the surviving stages, at least one diagnostic
 naming the failure, valid schema-v3 JSON, and renderable text/HTML.
 
 Scenario notes: the fail-points live on different execution paths, so
-each one pins how the engine reaches it (``dry_run`` reaches the parser
-sites; ``also_arm`` sinks the upper degradation-ladder rungs so the
-timed-legacy or functional-only rung actually executes).
+each one pins how the engine reaches it: ``dry_run`` reaches the parser
+sites; ``kernel="varloop_barrier"`` is the input whose timed build
+dissolves, so the product itself runs it on the per-warp interpreter;
+``also_arm`` sinks the timed rung so functional-only actually executes.
 """
 
 import json
@@ -25,7 +26,7 @@ from repro.gpu import GPUSpec, LaunchConfig
 from repro.testing import fail_at, fail_points
 from repro.testing.faultinject import REGISTRY, SERVE_SITES, fail_point
 
-from tests.conftest import LOOP_SASS, build_saxpy
+from tests.conftest import LOOP_SASS, build_saxpy, build_varloop_barrier
 
 N = 512
 CONFIG = LaunchConfig(grid=(4, 1), block=(128, 1))
@@ -49,18 +50,14 @@ def saxpy_args():
 SCENARIOS = {
     "parser.program": dict(kind="sass"),
     "parser.instruction": dict(kind="sass"),
-    "executor.step": dict(
-        exc=SimulationError, also_arm=["scheduler.run_wave_trace"],
-    ),
+    "executor.step": dict(exc=SimulationError, kernel="varloop_barrier"),
     "caches.l2_lookup": dict(exc=SimulationError),
-    "scheduler.run_wave": dict(
-        exc=SimulationError, also_arm=["scheduler.run_wave_trace"],
-    ),
+    "scheduler.run_wave": dict(exc=SimulationError,
+                               kernel="varloop_barrier"),
     "scheduler.run_wave_trace": dict(exc=SimulationError),
     "trace.build": dict(exc=SimulationError),
     "batch.functional": dict(
-        exc=SimulationError,
-        also_arm=["scheduler.run_wave_trace", "scheduler.run_wave"],
+        exc=SimulationError, also_arm=["scheduler.run_wave_trace"],
     ),
     "simulator.launch": dict(exc=SimulationError),
     "sampler.sample": dict(exc=SimulationError),
@@ -68,6 +65,15 @@ SCENARIOS = {
     "engine.analysis": dict(exc=AnalysisError),
     "engine.predictions": dict(exc=AnalysisError),
 }
+
+
+def scenario_launch(scenario, saxpy_ck):
+    """The (kernel, config, args) a dynamic scenario analyzes."""
+    if scenario.get("kernel") == "varloop_barrier":
+        return (build_varloop_barrier(),
+                LaunchConfig(grid=(2, 1), block=(32, 2)),
+                {"dst": np.zeros(128, dtype=np.float32)})
+    return saxpy_ck, CONFIG, saxpy_args()
 
 
 def _run_scenario(site, scenario, saxpy_ck):
@@ -84,18 +90,18 @@ def _run_scenario(site, scenario, saxpy_ck):
         for extra in scenario.get("also_arm", []):
             stack.enter_context(fail_at(extra, SimulationError))
         fp = stack.enter_context(fail_at(site, exc))
-        report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
+        report = scout.analyze(*scenario_launch(scenario, saxpy_ck),
                                max_blocks=2)
     return fp, report
 
 
 def assert_reached_through_ladder(scenario, report):
-    """A site below the trace-driven rung is reached by the ladder
-    demoting onto it, never by a caller's option: the demotion must be
-    on record."""
+    """A site below the timed rung is reached by the ladder demoting
+    onto it, never by a caller's option: the demotion must be on
+    record."""
     if "scheduler.run_wave_trace" in scenario.get("also_arm", []):
         assert any(d.detail.get("rung") == "timed-trace"
-                   and d.detail.get("fallback") == "timed-legacy"
+                   and d.detail.get("fallback") == "functional-only"
                    for d in report.diagnostics)
 
 
@@ -165,7 +171,7 @@ class TestChaosDetails:
         with fail_at("simulator.launch", SimulationError,
                      times=None) as fp:
             report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
-        assert fp.triggered == 3  # trace, legacy, functional-only
+        assert fp.triggered == 2  # timed-trace, functional-only
         assert report.mode == "static"
         assert report.launch is None
         assert any("static-only" in d.message for d in report.diagnostics)

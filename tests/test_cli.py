@@ -21,6 +21,27 @@ class TestParser:
             )
 
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--kernel", "sgemm:naive", "--size", "48",
+         "--max-blocks", "-3"],
+        ["analyze", "--kernel", "sgemm:naive", "--max-blocks", "0"],
+        ["analyze", "--kernel", "sgemm:naive", "--size", "0"],
+        ["analyze", "--kernel", "sgemm:naive", "--size", "-16"],
+        ["compare", "--old", "sgemm:naive", "--new", "sgemm:shared",
+         "--max-blocks", "0"],
+        ["validate", "--smoke", "--size", "0"],
+        ["overlay", "--kernel", "sgemm:naive", "--sampled", "--size", "-1"],
+    ])
+    def test_non_positive_size_and_max_blocks_are_usage_errors(
+            self, argv, capsys):
+        # what the served API answers 400 (ProtocolError) exits 2 here,
+        # before anything is compiled or launched
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
 class TestResolveKernel:
     @pytest.mark.parametrize("spec", [
         "mixbench:sp:naive", "mixbench:dp:vec", "heat:naive",

@@ -7,8 +7,11 @@ program, the degradation ladder on a failure) — never something a
 caller, a CLI flag or the environment sets.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,38 @@ def test_no_engine_or_timing_model_flag(command, flag, capsys):
     with pytest.raises(SystemExit) as rejected:
         parser.parse_args(argv)
     assert rejected.value.code == 2
+
+
+def test_simulator_takes_a_spec_and_nothing_else():
+    import inspect
+
+    from repro.gpu import Simulator
+
+    assert list(inspect.signature(Simulator.__init__).parameters) == \
+        ["self", "spec"]
+
+
+def test_the_ladder_has_two_launching_rungs():
+    from repro.core.engine import LADDER
+
+    assert {rung for rung, _ in LADDER} == {"timed-trace",
+                                            "functional-only"}
+
+
+def test_the_oracle_stays_out_of_the_product():
+    src = REPO / "src" / "repro"
+    mentions = {
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if "ReferenceSimulator" in path.read_text()
+        and path.parent != src / "testing"
+    }
+    assert not mentions
+    # a fresh interpreter: other tests in this process import the oracle
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib, sys; importlib.import_module('repro.cli'); "
+         "print('repro.testing.reference' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout.strip() == "False"

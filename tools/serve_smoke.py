@@ -3,8 +3,15 @@ pooled engine, submit the same 3-kernel batch twice over HTTP, and
 assert the second pass is answered entirely from the content-addressed
 L3 report cache (no member recomputed).
 
+``GET /metrics`` is scraped after each pass: the exposition must parse
+(structural validator, same one ``tools/validate_metrics.py`` wraps),
+cover every required family (request latency, all three cache tiers,
+pool health, engine stages), and show cache-hit counters moving on the
+warm pass — which proves worker-side counts merge through the snapshot
+protocol into the served exposition.
+
 Exits non-zero on any protocol error, batch failure, cache miss on the
-second pass, or served/recomputed report divergence.
+second pass, served/recomputed report divergence, or telemetry gap.
 
 Usage::
 
@@ -23,6 +30,7 @@ import urllib.request
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.obs.metrics import validate_exposition  # noqa: E402
 from repro.serve import ScoutServer  # noqa: E402
 
 BATCH = {"requests": [
@@ -32,11 +40,37 @@ BATCH = {"requests": [
 ]}
 
 
+#: every family /metrics must expose after one batch
+REQUIRED_FAMILIES = (
+    "gpuscout_http_requests_total",
+    "gpuscout_http_request_seconds",
+    "gpuscout_cache_hits_total",
+    "gpuscout_cache_misses_total",
+    "gpuscout_pool_inflight",
+    "gpuscout_pool_respawns_total",
+    "gpuscout_engine_stage_seconds",
+)
+
+
 def _post(url: str, path: str, body: dict) -> dict:
     req = urllib.request.Request(url + path,
                                  data=json.dumps(body).encode())
     with urllib.request.urlopen(req, timeout=300) as resp:
         return json.loads(resp.read())
+
+
+def _scrape(url: str) -> str:
+    with urllib.request.urlopen(url + "/metrics", timeout=30) as resp:
+        return resp.read().decode()
+
+
+def _counter_total(text: str, family: str) -> float:
+    total = 0.0
+    for line in text.splitlines():
+        if line.startswith(family + "{") or \
+                line.startswith(family + " "):
+            total += float(line.rsplit(" ", 1)[1])
+    return total
 
 
 def main() -> int:
@@ -62,6 +96,20 @@ def main() -> int:
                     failures.append(
                         f"cold member {i}: cache={env.get('cache')!r}")
 
+            scrape1 = _scrape(srv.url)
+            for p in validate_exposition(scrape1):
+                failures.append(f"scrape 1 invalid: {p}")
+            for family in REQUIRED_FAMILIES:
+                if f"# TYPE {family} " not in scrape1:
+                    failures.append(
+                        f"scrape 1 missing family {family}")
+            tiers = [t for t in ("l1", "l2", "l3")
+                     if f'gpuscout_cache_hits_total{{tier="{t}"}}'
+                     in scrape1]
+            if len(tiers) != 3:
+                failures.append(
+                    f"scrape 1 covers cache tiers {tiers}, want all 3")
+
             second = _post(srv.url, "/v1/batch", BATCH)
             if not second.get("ok"):
                 failures.append(f"warm batch failed: {second}")
@@ -75,6 +123,20 @@ def main() -> int:
                        for e in second.get("responses", [])]
             if firsts != seconds:
                 failures.append("warm batch reports differ from cold")
+
+            scrape2 = _scrape(srv.url)
+            for p in validate_exposition(scrape2):
+                failures.append(f"scrape 2 invalid: {p}")
+            hits1 = _counter_total(scrape1, "gpuscout_cache_hits_total")
+            hits2 = _counter_total(scrape2, "gpuscout_cache_hits_total")
+            if hits2 <= hits1:
+                failures.append(
+                    f"cache-hit counters did not move on the warm "
+                    f"pass: {hits1} -> {hits2}")
+            reqs = _counter_total(scrape2, "gpuscout_http_requests_total")
+            if reqs < 2:
+                failures.append(
+                    f"http request counter too low: {reqs}")
 
             stats = json.loads(urllib.request.urlopen(
                 srv.url + "/v1/stats", timeout=30).read())
@@ -93,7 +155,8 @@ def main() -> int:
             print(f"FAIL: {line}", file=sys.stderr)
         return 1
     print(f"serve smoke OK: {n}-kernel batch cold then warm, "
-          f"second pass all L3 hits")
+          f"second pass all L3 hits; /metrics valid, all families "
+          f"present, cache-hit counters moved")
     return 0
 
 
