@@ -34,21 +34,21 @@ Quickstart::
     print(report.render())
 """
 
-from repro.core import GPUscout, ScoutReport, Finding, Severity
-from repro.cudalite import KernelBuilder, compile_kernel
-from repro.gpu import GPUSpec, LaunchConfig, Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GPUscout",
-    "ScoutReport",
-    "Finding",
-    "Severity",
-    "KernelBuilder",
-    "compile_kernel",
-    "GPUSpec",
-    "LaunchConfig",
-    "Simulator",
-    "__version__",
-]
+_EXPORTS = {
+    "GPUscout": ("repro.core.engine", "GPUscout"),
+    "ScoutReport": ("repro.core.engine", "ScoutReport"),
+    "Finding": ("repro.core.findings", "Finding"),
+    "Severity": ("repro.core.findings", "Severity"),
+    "KernelBuilder": ("repro.cudalite.builder", "KernelBuilder"),
+    "compile_kernel": ("repro.cudalite.compiler", "compile_kernel"),
+    "GPUSpec": ("repro.gpu.config", "GPUSpec"),
+    "LaunchConfig": ("repro.gpu.config", "LaunchConfig"),
+    "Simulator": ("repro.gpu.simulator", "Simulator"),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import Optional
 
-from repro.core import GPUscout
+# nothing else at module level: every handler imports what it runs, so
+# ``--help`` costs argparse and a shell one-shot loads one kernel
+# family and no report format it does not write (DESIGN "Start-up")
 from repro.errors import (
     AnalysisError,
     CompileError,
@@ -30,8 +31,6 @@ from repro.errors import (
     SassSyntaxError,
     SimulationError,
 )
-from repro.gpu import GPUSpec, LaunchConfig
-from repro.gpu.budget import SimBudget
 
 __all__ = ["main", "build_parser", "exit_code_for", "resolve_kernel"]
 
@@ -81,6 +80,8 @@ def _kernel_catalog() -> dict[str, str]:
 def resolve_kernel(spec: str, size: int, compute_iterations: int = 8):
     """Build (compiled kernel, launch config, args, textures) for a
     built-in kernel spec like ``sgemm:shared`` or ``mixbench:sp:vec``."""
+    from repro.gpu.config import LaunchConfig
+
     parts = spec.split(":")
     family = parts[0]
     if family == "mixbench":
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code (see
     :func:`exit_code_for` for the error mapping)."""
     try:
@@ -344,7 +345,7 @@ def _print_health(report) -> None:
             print(f"gpuscout: {line}", file=sys.stderr)
 
 
-def _main(argv: Optional[list[str]] = None) -> int:
+def _main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-kernels":
         for name, desc in sorted(_kernel_catalog().items()):
@@ -366,24 +367,34 @@ def _main(argv: Optional[list[str]] = None) -> int:
         return _run_overlay(args)
     if args.command == "serve":
         return _run_serve(args)
-    # analyze
-    from repro.core import all_analyses
+    return _run_analyze(args)
 
+
+def _run_analyze(args) -> int:
+    """``gpuscout analyze``: the paper's workflow on one kernel."""
+    from repro.core.engine import GPUscout
+    from repro.gpu.config import GPUSpec
+
+    analyses = None
+    if args.extended:
+        from repro.core.base import all_analyses
+
+        analyses = all_analyses()
+    budget = None
+    if args.deadline is not None:
+        from repro.gpu.budget import SimBudget
+
+        budget = SimBudget(max_wall_seconds=args.deadline)
     if args.profile:
         # the [metrics] footer rides on --profile: arm the registry so
         # the engine's stage/cache/throughput series have data
         from repro.obs.metrics import arm
 
         arm(True)
-    scout = GPUscout(
-        analyses=all_analyses() if args.extended else None,
-        spec=GPUSpec.v100(),
-        budget=(SimBudget(max_wall_seconds=args.deadline)
-                if args.deadline is not None else None),
-    )
+    scout = GPUscout(analyses=analyses, spec=GPUSpec.v100(), budget=budget)
     capture = None
     if args.trace and not args.dry_run and not args.sass:
-        from repro.obs import TimelineCapture
+        from repro.obs.timeline_capture import TimelineCapture
 
         capture = TimelineCapture()
     if args.sass:
@@ -410,7 +421,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
             print("note: --trace needs a simulated launch; no trace "
                   "written for raw SASS / --dry-run", file=sys.stderr)
     if capture is not None:
-        from repro.obs import write_chrome_trace
+        from repro.obs.chrometrace import write_chrome_trace
 
         write_chrome_trace(
             args.trace, capture, program=report.program,
@@ -422,13 +433,13 @@ def _main(argv: Optional[list[str]] = None) -> int:
               "(open in https://ui.perfetto.dev or chrome://tracing)",
               file=sys.stderr)
     if args.json == "-":
-        from repro.core import report_to_json
+        from repro.core.jsonout import report_to_json
 
         print(report_to_json(report))
     else:
         print(report.render(color=args.color, profile=args.profile))
         if args.json:
-            from repro.core import report_to_json
+            from repro.core.jsonout import report_to_json
 
             with open(args.json, "w") as fh:
                 fh.write(report_to_json(report))
@@ -441,7 +452,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
-def _run_explain(name: Optional[str]) -> int:
+def _run_explain(name: str | None) -> int:
     """``gpuscout explain``: the tool's manual for stalls and metrics."""
     from repro.gpu.stalls import STALL_EXPLANATIONS, StallReason
     from repro.metrics.names import METRIC_REGISTRY
@@ -522,6 +533,9 @@ def _run_overlay(args) -> int:
         )
         program = ck.program
         if args.sampled:
+            from repro.core.engine import GPUscout
+            from repro.gpu.config import GPUSpec
+
             scout = GPUscout(spec=GPUSpec.v100())
             report = scout.analyze(ck, config, kargs, textures=textures,
                                    max_blocks=8)
@@ -578,6 +592,8 @@ def _run_compare(args) -> int:
     """``gpuscout compare``: analyze two kernels and show the
     new-vs-old metric comparison."""
     from repro.core.compare import compare_reports
+    from repro.core.engine import GPUscout
+    from repro.gpu.config import GPUSpec
 
     scout = GPUscout(spec=GPUSpec.v100())
     reports = []

@@ -8,50 +8,27 @@ terminal report of Figures 2/5.  ``--dry-run`` skips everything that
 needs the (simulated) GPU.
 """
 
-from repro.core.findings import Finding, Severity, SourceLoc
-from repro.core.base import (
-    Analysis,
-    AnalysisContext,
-    all_analyses,
-    default_analyses,
-    extension_analyses,
-)
-from repro.core.engine import GPUscout, ScoutReport
-from repro.core.overhead import OverheadBreakdown
-from repro.core.compare import ComparisonReport, MetricDelta, compare_reports
-from repro.core.html_report import render_html
-from repro.core.jsonout import report_to_dict, report_to_json
+from repro._lazy import lazy_exports
 
-# importing the analysis modules registers them (paper §4 defaults,
-# then the §7-style extensions)
-from repro.core import (  # noqa: F401
-    vectorize,
-    spilling,
-    shared_mem,
-    atomics,
-    restrict,
-    texture,
-    conversions,
-    coalescing,
-    divergence,
-)
+_EXPORTS = {
+    "Finding": ("repro.core.findings", "Finding"),
+    "Severity": ("repro.core.findings", "Severity"),
+    "SourceLoc": ("repro.core.findings", "SourceLoc"),
+    "Analysis": ("repro.core.base", "Analysis"),
+    "AnalysisContext": ("repro.core.base", "AnalysisContext"),
+    "all_analyses": ("repro.core.base", "all_analyses"),
+    "default_analyses": ("repro.core.base", "default_analyses"),
+    "extension_analyses": ("repro.core.base", "extension_analyses"),
+    "GPUscout": ("repro.core.engine", "GPUscout"),
+    "ScoutReport": ("repro.core.engine", "ScoutReport"),
+    "OverheadBreakdown": ("repro.core.overhead", "OverheadBreakdown"),
+    "ComparisonReport": ("repro.core.compare", "ComparisonReport"),
+    "MetricDelta": ("repro.core.compare", "MetricDelta"),
+    "compare_reports": ("repro.core.compare", "compare_reports"),
+    "render_html": ("repro.core.html_report", "render_html"),
+    "report_to_dict": ("repro.core.jsonout", "report_to_dict"),
+    "report_to_json": ("repro.core.jsonout", "report_to_json"),
+}
 
-__all__ = [
-    "Finding",
-    "Severity",
-    "SourceLoc",
-    "Analysis",
-    "AnalysisContext",
-    "all_analyses",
-    "default_analyses",
-    "extension_analyses",
-    "GPUscout",
-    "ScoutReport",
-    "OverheadBreakdown",
-    "ComparisonReport",
-    "MetricDelta",
-    "compare_reports",
-    "render_html",
-    "report_to_dict",
-    "report_to_json",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

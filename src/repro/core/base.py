@@ -10,6 +10,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import import_module
 from typing import Type
 
 from repro.sass.cfg import ControlFlowGraph, build_cfg
@@ -244,15 +245,36 @@ def register_extension(cls: Type[Analysis]) -> Type[Analysis]:
     return cls
 
 
+#: the detector modules, in the paper's §4 order and then the §7-style
+#: extensions; importing one registers its class, and nothing imports
+#: them until an analysis set is asked for
+_DEFAULT_MODULES = ("vectorize", "spilling", "shared_mem", "atomics",
+                    "restrict", "texture", "conversions")
+_EXTENSION_MODULES = ("coalescing", "divergence")
+
+
+def _instances(registry: dict, modules: tuple) -> list[Analysis]:
+    """Fresh instances of ``registry`` after loading the built-in
+    ``modules``: built-ins in table order whatever order they were
+    imported in, then analyses registered from elsewhere."""
+    order = {f"repro.core.{name}": rank for rank, name in enumerate(modules)}
+    for module in order:
+        import_module(module)
+    classes = sorted(registry.values(),
+                     key=lambda cls: order.get(cls.__module__, len(order)))
+    return [cls() for cls in classes]
+
+
 def default_analyses() -> list[Analysis]:
-    """Fresh instances of every registered analysis, in registration
-    order (the §4 order of the paper)."""
-    return [cls() for cls in _REGISTRY.values()]
+    """Fresh instances of every registered analysis: the paper's §4
+    detectors in the paper's order (loaded on first call), then any
+    registered by the caller."""
+    return _instances(_REGISTRY, _DEFAULT_MODULES)
 
 
 def extension_analyses() -> list[Analysis]:
     """Fresh instances of the registered extension analyses."""
-    return [cls() for cls in _EXTENSIONS.values()]
+    return _instances(_EXTENSIONS, _EXTENSION_MODULES)
 
 
 def all_analyses() -> list[Analysis]:

@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
-
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.core.base import Analysis, AnalysisContext, default_analyses
 from repro.core.findings import Finding
 from repro.core.overhead import OverheadBreakdown
-from repro.core.reproducer import write_reproducer_bundle
-from repro.obs.heatmap import Heatmap, build_heatmap
 from repro.obs.metrics import RATE_BUCKETS
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.metrics import armed as _metrics_armed
 from repro.obs.spans import NULL_PROFILER, Profiler
-from repro.cudalite.compiler import CompiledKernel
 from repro.errors import (
     AnalysisError,
     Diagnostic,
@@ -49,21 +46,25 @@ from repro.errors import (
     diagnostic_from_exception,
 )
 from repro.gpu.config import GPUSpec
-from repro.gpu.simulator import (
-    LaunchConfig,
-    LaunchResult,
-    SimBudget,
-    Simulator,
-)
 from repro.gpu.stalls import StallReason
-from repro.metrics.collector import MetricReport, NsightComputeCLI
 from repro.metrics.names import METRIC_SETS
-from repro.sampling.pcsampler import PCSampler, PCSamplingResult
-from repro.sampling.stall_report import LineStallProfile, build_line_profiles
-from repro.ptx.analysis import PTXAtomicsSummary
 from repro.sass.isa import Program
 from repro.sass.parser import parse_sass
 from repro.testing.faultinject import fail_point
+
+if TYPE_CHECKING:
+    # what only a launch needs is imported where the launch stage
+    # starts: --dry-run and raw SASS never load the simulator
+    from repro.cudalite.compiler import CompiledKernel
+    from repro.gpu.budget import SimBudget
+    from repro.gpu.config import LaunchConfig
+    from repro.gpu.simulator import LaunchResult, Simulator
+    from repro.metrics.collector import MetricReport, NsightComputeCLI
+    from repro.obs.heatmap import Heatmap
+    from repro.ptx.analysis import PTXAtomicsSummary
+    from repro.sampling.pcsampler import PCSampler, PCSamplingResult
+    from repro.sampling.stall_report import LineStallProfile
+    from repro.sass.slicing import StallBlame
 
 __all__ = ["GPUscout", "ScoutReport", "StaticArtifacts"]
 
@@ -139,15 +140,26 @@ class StaticArtifacts:
 
     def matches(self, kernel, config) -> bool:
         """Whether these artifacts are reusable for ``kernel`` under
-        ``config``: same program (object identity for compiled/parsed
-        inputs, text equality for raw SASS) and same launch geometry
-        (analyses may fold ``ctx.config`` into their static results)."""
-        if isinstance(kernel, CompiledKernel):
-            same = self.compiled is kernel
+        ``config``: same program and same launch geometry (analyses may
+        fold ``ctx.config`` into their static results).  Raw SASS is
+        the same program when the text is equal and a parsed
+        :class:`Program` when it is the same object; a compiled kernel
+        when its SASS digest and pointer-parameter layout are equal —
+        all the static stages read from it (``static:ptx`` scans the
+        same instruction stream before register allocation), and what
+        :func:`repro.serve.protocol.static_key` addresses."""
+        if isinstance(kernel, str):
+            same = self.sass_text == kernel
         elif isinstance(kernel, Program):
             same = self.program is kernel
-        elif isinstance(kernel, str):
-            same = self.sass_text == kernel
+        elif self.compiled is not None:
+            from repro.sass.affine import pointer_param_offsets
+
+            same = (
+                self.compiled.sass_sha256 == getattr(kernel, "sass_sha256", None)
+                and pointer_param_offsets(self.compiled)
+                == pointer_param_offsets(kernel)
+            )
         else:
             same = False
         return same and self.ctx.config == config
@@ -233,11 +245,25 @@ class GPUscout:
     ):
         self.analyses = list(analyses) if analyses is not None else default_analyses()
         self.spec = spec or GPUSpec.v100()
-        self.sampler = sampler or PCSampler()
-        self.ncu = ncu or NsightComputeCLI()
+        if sampler is not None:
+            self.sampler = sampler
+        if ncu is not None:
+            self.ncu = ncu
         #: default resource budget applied to every :meth:`analyze`
         #: (a per-call ``budget`` argument overrides it)
         self.budget = budget
+
+    @cached_property
+    def sampler(self) -> PCSampler:
+        from repro.sampling.pcsampler import PCSampler
+
+        return PCSampler()
+
+    @cached_property
+    def ncu(self) -> NsightComputeCLI:
+        from repro.metrics.collector import NsightComputeCLI
+
+        return NsightComputeCLI()
 
     # ------------------------------------------------------------------
     def analyze(
@@ -309,7 +335,10 @@ class GPUscout:
             art = self._run_static(kernel, config, prof, diags, note)
             findings = art.findings
             sass_seconds = art.sass_seconds
-        program, compiled, ctx = art.program, art.compiled, art.ctx
+        program, ctx = art.program, art.ctx
+        # the launch runs the kernel it was handed, which on an L1 hit
+        # may be another object than the one the artifacts came from
+        compiled = kernel if art.compiled is not None else None
         ptx_atomics = art.ptx_atomics
         affine_summary = art.affine_summary
 
@@ -340,6 +369,15 @@ class GPUscout:
             )
 
         # -- stage 3: dynamic collection (degradation ladder) ------------
+        # The launch stage starts here and so do its imports — the
+        # simulator, the sampler and the metric collector among them —
+        # ahead of the first span, so no stage is billed for them.
+        from repro.gpu.simulator import Simulator
+        from repro.obs.heatmap import build_heatmap
+        from repro.sampling.stall_report import build_line_profiles
+        from repro.sass.slicing import BlameSlicer
+
+        sampler, ncu = self.sampler, self.ncu
         mode = "full"
         if launch is None:
             if config is None or args is None:
@@ -348,6 +386,7 @@ class GPUscout:
                 )
             with prof.span("launch"):
                 launch, mode = self._launch_with_degradation(
+                    Simulator(self.spec),
                     compiled, config, args, textures, max_blocks, budget,
                     note, program, trace=trace, prof=prof,
                 )
@@ -368,14 +407,14 @@ class GPUscout:
         if launch is not None and mode == "full":
             with prof.span("sampling"):
                 try:
-                    sampling = self.sampler.sample(launch)
+                    sampling = sampler.sample(launch)
                     line_profiles = build_line_profiles(sampling)
                 except Exception as exc:
                     sampling, line_profiles = None, {}
                     note("sampling", "sampler.sample", exc, program=program)
             with prof.span("metrics"):
                 try:
-                    metrics = self.ncu.collect(
+                    metrics = ncu.collect(
                         launch, self._metric_names(findings)
                     )
                 except Exception as exc:
@@ -411,8 +450,6 @@ class GPUscout:
                     # CFG/reaching-defs/affine passes)
                     if sampling is not None:
                         try:
-                            from repro.sass.slicing import BlameSlicer
-
                             slicer = BlameSlicer.from_context(ctx)
                             blame = slicer.slice_sampling(sampling)
                         except Exception as exc:
@@ -441,7 +478,7 @@ class GPUscout:
             kernel_seconds=launch.duration_s if launch is not None else 0.0,
             sass_analysis_seconds=sass_seconds,
             pc_sampling_seconds=(
-                self.sampler.overhead_seconds(launch)
+                sampler.overhead_seconds(launch)
                 if launch is not None and sampling is not None else 0.0
             ),
             metrics_seconds=(
@@ -489,6 +526,8 @@ class GPUscout:
             if not isinstance(exc, ReproError) and not crashed["bundled"]:
                 # an exception no stage anticipated: keep the evidence
                 crashed["bundled"] = True
+                from repro.core.reproducer import write_reproducer_bundle
+
                 bundle = write_reproducer_bundle(
                     exc, program=program, config=config, args=args,
                 )
@@ -614,6 +653,7 @@ class GPUscout:
     # ------------------------------------------------------------------
     def _launch_with_degradation(
         self,
+        sim: Simulator,
         compiled: CompiledKernel,
         config: LaunchConfig,
         args: dict,
@@ -645,7 +685,6 @@ class GPUscout:
         shows the run that produced the report.
         """
         prof = prof if prof is not None else NULL_PROFILER
-        sim = Simulator(self.spec)
         for i, (rung, timed) in enumerate(LADDER):
             capture_mark = trace.mark() if trace is not None and \
                 hasattr(trace, "mark") else None
@@ -781,15 +820,18 @@ class GPUscout:
     def _resolve(
         kernel, diagnostics: Optional[list] = None,
     ) -> tuple[Program, Optional[CompiledKernel]]:
-        if isinstance(kernel, CompiledKernel):
-            return kernel.program, kernel
-        if isinstance(kernel, Program):
-            return kernel, None
         if isinstance(kernel, str):
             # raw disassembly may come from nvdisasm versions with
             # operand forms the grammar does not know: recover per line
             return parse_sass(kernel, recover=True,
                               diagnostics=diagnostics), None
+        if isinstance(kernel, Program):
+            return kernel, None
+        # whoever holds a CompiledKernel has imported its module
+        from repro.cudalite.compiler import CompiledKernel
+
+        if isinstance(kernel, CompiledKernel):
+            return kernel.program, kernel
         raise AnalysisError(f"cannot analyze object of type {type(kernel)!r}")
 
     def _metric_names(self, findings: Sequence[Finding]) -> list[str]:

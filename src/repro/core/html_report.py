@@ -300,7 +300,7 @@ def _heatmap_section(report: ScoutReport) -> str:
         waits = ", ".join(
             f"{w['op']} (line {w['line']})" if w["line"] is not None
             else f"{w['op']} (pc {w['pc']})"
-            for w in lh.waits_on[:3]
+            for w in lh.producers()[:3]
         ) or "-"
         rows.append(
             f"<tr><td>{lh.line}</td>"

@@ -253,7 +253,7 @@ def render_profile(report) -> list[str]:
             dom_name = dom.cupti_name if dom is not None else "-"
             waits = ""
             if lh.waits_on:
-                w = lh.waits_on[0]
+                w = lh.producers()[0]
                 target = (f"line {w['line']}" if w["line"] is not None
                           else f"pc {w['pc']}")
                 waits = f"  waits on: {w['op']} ({target})"

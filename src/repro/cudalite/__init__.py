@@ -23,40 +23,27 @@ GPUscout's static analyses therefore see the same instruction patterns
 they would see on nvcc output.
 """
 
-from repro.cudalite.types import (
-    DType,
-    PointerType,
-    f32,
-    f64,
-    i32,
-    u32,
-    u64,
-    float2,
-    float4,
-    int4,
-    double2,
-    ptr,
-)
-from repro.cudalite.ast import Expr, Stmt
-from repro.cudalite.builder import KernelBuilder, Kernel
-from repro.cudalite.compiler import compile_kernel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DType",
-    "PointerType",
-    "f32",
-    "f64",
-    "i32",
-    "u32",
-    "u64",
-    "float2",
-    "float4",
-    "int4",
-    "double2",
-    "ptr",
-    "Expr",
-    "Stmt",
-    "KernelBuilder",
-    "Kernel",
-    "compile_kernel",
-]
+_EXPORTS = {
+    "DType": ("repro.cudalite.types", "DType"),
+    "PointerType": ("repro.cudalite.types", "PointerType"),
+    "f32": ("repro.cudalite.types", "f32"),
+    "f64": ("repro.cudalite.types", "f64"),
+    "i32": ("repro.cudalite.types", "i32"),
+    "u32": ("repro.cudalite.types", "u32"),
+    "u64": ("repro.cudalite.types", "u64"),
+    "float2": ("repro.cudalite.types", "float2"),
+    "float4": ("repro.cudalite.types", "float4"),
+    "int4": ("repro.cudalite.types", "int4"),
+    "double2": ("repro.cudalite.types", "double2"),
+    "ptr": ("repro.cudalite.types", "ptr"),
+    "Expr": ("repro.cudalite.ast", "Expr"),
+    "Stmt": ("repro.cudalite.ast", "Stmt"),
+    "KernelBuilder": ("repro.cudalite.builder", "KernelBuilder"),
+    "Kernel": ("repro.cudalite.builder", "Kernel"),
+    "compile_kernel": ("repro.cudalite.compiler", "compile_kernel"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -28,7 +28,7 @@ Code-generation strategy notes (what makes the SASS look like nvcc's):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -95,6 +95,11 @@ class CompiledKernel:
     shared: list[SharedSlot]
     textures: list[TextureParam]
     allocation: AllocationResult
+    #: the pre-allocation stream :func:`compile_kernel` lowered, kept so
+    #: :attr:`ptx_text` need not lower again; not an init field, so a
+    #: ``dataclasses.replace`` copy — whose kernel may differ — has none
+    vprogram: Optional[VProgram] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -119,10 +124,13 @@ class CompiledKernel:
     @cached_property
     def ptx_text(self) -> str:
         """The kernel rendered at the PTX stage (paper §2.1's first
-        transformation; re-derived from the source kernel)."""
-        from repro.ptx.writer import kernel_to_ptx
+        transformation): what :func:`repro.ptx.writer.kernel_to_ptx`
+        returns for :attr:`kernel`."""
+        from repro.ptx.writer import kernel_to_ptx, lowered_to_ptx
 
-        return kernel_to_ptx(self.kernel)
+        if self.vprogram is None:
+            return kernel_to_ptx(self.kernel)
+        return lowered_to_ptx(self.kernel, self.vprogram, self.params)
 
     def param_slot(self, name: str) -> ParamSlot:
         for slot in self.params:
@@ -1466,7 +1474,7 @@ def compile_kernel(kernel: Kernel, max_registers: Optional[int] = None) -> Compi
     vprog, low = lower_kernel(kernel)
     budget = max_registers or kernel.launch_bounds_regs or 253
     result = allocate(vprog, budget=budget)
-    return CompiledKernel(
+    compiled = CompiledKernel(
         kernel=kernel,
         program=result.program,
         params=[low.params[p.name] for p in kernel.params],
@@ -1474,3 +1482,5 @@ def compile_kernel(kernel: Kernel, max_registers: Optional[int] = None) -> Compi
         textures=list(kernel.textures),
         allocation=result,
     )
+    compiled.vprogram = vprog
+    return compiled

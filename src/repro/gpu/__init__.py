@@ -15,25 +15,21 @@ See DESIGN.md §2 for why this substitution preserves the behaviours the
 paper's analyses depend on.
 """
 
-from repro.gpu.config import GPUSpec
-from repro.gpu.stalls import StallReason
-from repro.gpu.simulator import LaunchConfig, LaunchResult, Simulator, TextureDesc
-from repro.gpu.session import DeviceBuffer, DeviceSession
-from repro.gpu.trace import TraceEvent, TraceRecorder, format_trace
-from repro.gpu.microbench import MicroResult, execute_sass
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "StallReason",
-    "LaunchConfig",
-    "LaunchResult",
-    "Simulator",
-    "TextureDesc",
-    "DeviceBuffer",
-    "DeviceSession",
-    "TraceEvent",
-    "TraceRecorder",
-    "format_trace",
-    "MicroResult",
-    "execute_sass",
-]
+_EXPORTS = {
+    "GPUSpec": ("repro.gpu.config", "GPUSpec"),
+    "StallReason": ("repro.gpu.stalls", "StallReason"),
+    "LaunchConfig": ("repro.gpu.config", "LaunchConfig"),
+    "LaunchResult": ("repro.gpu.simulator", "LaunchResult"),
+    "Simulator": ("repro.gpu.simulator", "Simulator"),
+    "TextureDesc": ("repro.gpu.simulator", "TextureDesc"),
+    "DeviceBuffer": ("repro.gpu.session", "DeviceBuffer"),
+    "DeviceSession": ("repro.gpu.session", "DeviceSession"),
+    "TraceEvent": ("repro.gpu.trace", "TraceEvent"),
+    "TraceRecorder": ("repro.gpu.trace", "TraceRecorder"),
+    "format_trace": ("repro.gpu.trace", "format_trace"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.errors import LaunchError
 from repro.sass.occupancy import OccupancyLimits, VOLTA_LIMITS
 
-__all__ = ["GPUSpec"]
+__all__ = ["GPUSpec", "LaunchConfig"]
+
+WARP = 32
 
 
 @dataclass(frozen=True)
@@ -118,3 +121,32 @@ class GPUSpec:
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.clock_hz
+
+
+@dataclass(frozen=True)
+class LaunchConfig:
+    """Grid/block shape of one kernel launch (2D is sufficient for the
+    paper's workloads; a third dimension would be mechanical)."""
+
+    grid: tuple[int, int] = (1, 1)
+    block: tuple[int, int] = (128, 1)
+
+    def __post_init__(self) -> None:
+        gx, gy = self.grid
+        bx, by = self.block
+        if gx < 1 or gy < 1 or bx < 1 or by < 1:
+            raise LaunchError("grid/block dimensions must be positive")
+        if bx * by > 1024:
+            raise LaunchError("more than 1024 threads per block")
+
+    @property
+    def threads_per_block(self) -> int:
+        return self.block[0] * self.block[1]
+
+    @property
+    def warps_per_block(self) -> int:
+        return -(-self.threads_per_block // WARP)
+
+    @property
+    def num_blocks(self) -> int:
+        return self.grid[0] * self.grid[1]

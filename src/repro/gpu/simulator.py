@@ -20,7 +20,7 @@ from repro.errors import LaunchError
 from repro.gpu.batch import batchable, run_functional_batched, run_per_warp
 from repro.gpu.budget import SimBudget
 from repro.gpu.caches import MemoryHierarchy
-from repro.gpu.config import GPUSpec
+from repro.gpu.config import GPUSpec, LaunchConfig
 from repro.gpu.counters import Counters
 from repro.gpu.executor import (
     DeviceMemory,
@@ -39,37 +39,7 @@ from repro.testing.faultinject import fail_point
 __all__ = ["LaunchConfig", "LaunchResult", "SimBudget", "Simulator",
            "TextureDesc"]
 
-WARP = 32
 _ALLOC_ALIGN = 256
-
-
-@dataclass(frozen=True)
-class LaunchConfig:
-    """Grid/block shape of one kernel launch (2D is sufficient for the
-    paper's workloads; a third dimension would be mechanical)."""
-
-    grid: tuple[int, int] = (1, 1)
-    block: tuple[int, int] = (128, 1)
-
-    def __post_init__(self) -> None:
-        gx, gy = self.grid
-        bx, by = self.block
-        if gx < 1 or gy < 1 or bx < 1 or by < 1:
-            raise LaunchError("grid/block dimensions must be positive")
-        if bx * by > 1024:
-            raise LaunchError("more than 1024 threads per block")
-
-    @property
-    def threads_per_block(self) -> int:
-        return self.block[0] * self.block[1]
-
-    @property
-    def warps_per_block(self) -> int:
-        return -(-self.threads_per_block // WARP)
-
-    @property
-    def num_blocks(self) -> int:
-        return self.grid[0] * self.grid[1]
 
 
 @dataclass(frozen=True)

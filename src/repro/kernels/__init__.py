@@ -19,21 +19,20 @@ compares, plus host-side helpers (argument staging, NumPy references):
 used by the benchmark harness.
 """
 
-from repro.kernels.mixbench import build_mixbench, mixbench_reference
-from repro.kernels.heat import build_heat, heat_reference
-from repro.kernels.sgemm import build_sgemm, sgemm_reference
-from repro.kernels.histogram import build_histogram, histogram_reference
-from repro.kernels.reduction import build_reduction, reduction_reference
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_mixbench",
-    "mixbench_reference",
-    "build_heat",
-    "heat_reference",
-    "build_sgemm",
-    "sgemm_reference",
-    "build_histogram",
-    "histogram_reference",
-    "build_reduction",
-    "reduction_reference",
-]
+_EXPORTS = {
+    "build_mixbench": ("repro.kernels.mixbench", "build_mixbench"),
+    "mixbench_reference": ("repro.kernels.mixbench", "mixbench_reference"),
+    "build_heat": ("repro.kernels.heat", "build_heat"),
+    "heat_reference": ("repro.kernels.heat", "heat_reference"),
+    "build_sgemm": ("repro.kernels.sgemm", "build_sgemm"),
+    "sgemm_reference": ("repro.kernels.sgemm", "sgemm_reference"),
+    "build_histogram": ("repro.kernels.histogram", "build_histogram"),
+    "histogram_reference": ("repro.kernels.histogram", "histogram_reference"),
+    "build_reduction": ("repro.kernels.reduction", "build_reduction"),
+    "reduction_reference": ("repro.kernels.reduction", "reduction_reference"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

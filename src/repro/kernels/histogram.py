@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cudalite import KernelBuilder, compile_kernel, i32, ptr
 from repro.cudalite.compiler import CompiledKernel
-from repro.gpu.simulator import LaunchConfig
+from repro.gpu.config import LaunchConfig
 
 __all__ = ["build_histogram", "histogram_args", "histogram_launch",
            "histogram_reference", "HISTOGRAM_VARIANTS", "NUM_BINS"]

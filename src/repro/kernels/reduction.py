@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cudalite import KernelBuilder, compile_kernel, f32, i32, ptr
 from repro.cudalite.compiler import CompiledKernel
-from repro.gpu.simulator import LaunchConfig
+from repro.gpu.config import LaunchConfig
 
 __all__ = ["build_reduction", "reduction_args", "reduction_launch",
            "reduction_reference", "REDUCTION_VARIANTS", "BLOCK"]

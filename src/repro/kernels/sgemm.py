@@ -35,7 +35,7 @@ from repro.cudalite import (
 )
 from repro.cudalite.compiler import CompiledKernel
 from repro.cudalite.intrinsics import mad
-from repro.gpu.simulator import LaunchConfig
+from repro.gpu.config import LaunchConfig
 
 __all__ = ["build_sgemm", "sgemm_args", "sgemm_launch", "sgemm_reference",
            "SGEMM_VARIANTS", "TILE"]

@@ -11,15 +11,16 @@ is expensive).  This package provides:
   replay-pass overhead that dominates the paper's Figure 6.
 """
 
-from repro.metrics.names import METRIC_REGISTRY, MetricSpec, describe_metric
-from repro.metrics.collector import MetricReport, NsightComputeCLI
-from repro.metrics.derive import derive_metric
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "METRIC_REGISTRY",
-    "MetricSpec",
-    "describe_metric",
-    "MetricReport",
-    "NsightComputeCLI",
-    "derive_metric",
-]
+_EXPORTS = {
+    "METRIC_REGISTRY": ("repro.metrics.names", "METRIC_REGISTRY"),
+    "MetricSpec": ("repro.metrics.names", "MetricSpec"),
+    "describe_metric": ("repro.metrics.names", "describe_metric"),
+    "MetricReport": ("repro.metrics.collector", "MetricReport"),
+    "NsightComputeCLI": ("repro.metrics.collector", "NsightComputeCLI"),
+    "derive_metric": ("repro.metrics.derive", "derive_metric"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

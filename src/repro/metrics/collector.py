@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import MetricError
 from repro.testing.faultinject import fail_point
-from repro.gpu.simulator import LaunchResult
 from repro.metrics.derive import derive_metric
 from repro.metrics.names import METRIC_REGISTRY
+
+if TYPE_CHECKING:
+    from repro.gpu.simulator import LaunchResult
 
 __all__ = ["MetricReport", "NsightComputeCLI"]
 

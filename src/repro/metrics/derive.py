@@ -14,10 +14,12 @@ formulas follow the paper:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import MetricError
-from repro.gpu.simulator import LaunchResult
+
+if TYPE_CHECKING:
+    from repro.gpu.simulator import LaunchResult
 
 __all__ = ["derive_metric", "DERIVERS"]
 

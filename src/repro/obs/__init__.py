@@ -27,47 +27,31 @@ views:
   stitch server-side and worker-side spans across the fork boundary.
 """
 
-from repro.obs.chrometrace import (
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.heatmap import Heatmap, LineHeat, build_heatmap
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    arm,
-    armed,
-    merge_snapshots,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.obs.request_trace import build_request_trace, write_request_trace
-from repro.obs.slog import configure as configure_logging
-from repro.obs.slog import get_logger
-from repro.obs.spans import NULL_PROFILER, Profiler, Span
-from repro.obs.timeline_capture import TimelineCapture
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Heatmap",
-    "LineHeat",
-    "MetricsRegistry",
-    "NULL_PROFILER",
-    "Profiler",
-    "REGISTRY",
-    "Span",
-    "TimelineCapture",
-    "arm",
-    "armed",
-    "build_heatmap",
-    "build_request_trace",
-    "configure_logging",
-    "get_logger",
-    "merge_snapshots",
-    "render_prometheus",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "validate_exposition",
-    "write_chrome_trace",
-    "write_request_trace",
-]
+_EXPORTS = {
+    "Heatmap": ("repro.obs.heatmap", "Heatmap"),
+    "LineHeat": ("repro.obs.heatmap", "LineHeat"),
+    "MetricsRegistry": ("repro.obs.metrics", "MetricsRegistry"),
+    "NULL_PROFILER": ("repro.obs.spans", "NULL_PROFILER"),
+    "Profiler": ("repro.obs.spans", "Profiler"),
+    "REGISTRY": ("repro.obs.metrics", "REGISTRY"),
+    "Span": ("repro.obs.spans", "Span"),
+    "TimelineCapture": ("repro.obs.timeline_capture", "TimelineCapture"),
+    "arm": ("repro.obs.metrics", "arm"),
+    "armed": ("repro.obs.metrics", "armed"),
+    "build_heatmap": ("repro.obs.heatmap", "build_heatmap"),
+    "build_request_trace": ("repro.obs.request_trace", "build_request_trace"),
+    "configure_logging": ("repro.obs.slog", "configure"),
+    "get_logger": ("repro.obs.slog", "get_logger"),
+    "merge_snapshots": ("repro.obs.metrics", "merge_snapshots"),
+    "render_prometheus": ("repro.obs.metrics", "render_prometheus"),
+    "to_chrome_trace": ("repro.obs.chrometrace", "to_chrome_trace"),
+    "validate_chrome_trace": ("repro.obs.chrometrace", "validate_chrome_trace"),
+    "validate_exposition": ("repro.obs.metrics", "validate_exposition"),
+    "write_chrome_trace": ("repro.obs.chrometrace", "write_chrome_trace"),
+    "write_request_trace": ("repro.obs.request_trace", "write_request_trace"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -52,6 +52,14 @@ class LineHeat:
             return None
         return max(self.by_reason, key=lambda k: self.by_reason[k])
 
+    def producers(self) -> list[dict]:
+        """:attr:`waits_on` as a reader wants it: the producers that
+        own the line's dominant stall reason first, the rest after, each
+        group still by line.  (``to_dict`` keeps the stored order.)"""
+        dom = self.dominant()
+        name = dom.cupti_name if dom is not None else None
+        return sorted(self.waits_on, key=lambda w: w["reason"] != name)
+
     def to_dict(self) -> dict:
         d = {
             "line": self.line,

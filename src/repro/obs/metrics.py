@@ -70,7 +70,10 @@ LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 #: events-per-second buckets: simulated-instruction throughput
 RATE_BUCKETS = (1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8)
 
-_armed = os.environ.get("REPRO_METRICS", "") == "1"
+#: ``None`` until the first :func:`armed` / :func:`arm` call reads
+#: ``REPRO_METRICS`` — not at import, which lazy package roots would
+#: turn into "whenever this module first happens to load"
+_armed: Optional[bool] = None
 _exemplar_ctx = threading.local()
 
 
@@ -87,7 +90,11 @@ def arm(on: bool = True) -> None:
 
 
 def armed() -> bool:
-    """Whether instruments currently record."""
+    """Whether instruments currently record (``REPRO_METRICS=1`` arms
+    a process nobody armed by call)."""
+    global _armed
+    if _armed is None:
+        _armed = os.environ.get("REPRO_METRICS", "") == "1"
     return _armed
 
 
@@ -113,7 +120,7 @@ class Counter:
         self.value = 0.0
 
     def inc(self, n: float = 1.0) -> None:
-        if not _armed:
+        if not armed():
             return
         if n < 0:
             raise ValueError("counters only go up")
@@ -131,12 +138,12 @@ class Gauge:
         self.value = 0.0
 
     def set(self, v: float) -> None:
-        if not _armed:
+        if not armed():
             return
         self.value = float(v)
 
     def inc(self, n: float = 1.0) -> None:
-        if not _armed:
+        if not armed():
             return
         self.value += n
 
@@ -165,7 +172,7 @@ class Histogram:
         self.exemplars: dict[int, str] = {}
 
     def observe(self, v: float, exemplar: Optional[str] = None) -> None:
-        if not _armed:
+        if not armed():
             return
         idx = bisect.bisect_left(self.buckets, v)
         self.counts[idx] += 1
@@ -649,7 +656,7 @@ def render_footer(snapshot: Optional[dict] = None,
     verbatim, histograms as ``count/mean/p99``.  Empty when telemetry
     is disarmed or nothing was recorded."""
     if snapshot is None:
-        if not _armed:
+        if not armed():
             return []
         snapshot = REGISTRY.snapshot()
     digest = summarize(snapshot)

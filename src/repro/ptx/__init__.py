@@ -13,15 +13,16 @@ PTX-level atomics scan (:mod:`repro.ptx.analysis`) whose results
 GPUscout cross-checks against the SASS-level §4.4 analysis.
 """
 
-from repro.ptx.writer import kernel_to_ptx
-from repro.ptx.parser import PTXKernel, PTXInstruction, parse_ptx
-from repro.ptx.analysis import PTXAtomicsSummary, scan_atomics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "kernel_to_ptx",
-    "PTXKernel",
-    "PTXInstruction",
-    "parse_ptx",
-    "PTXAtomicsSummary",
-    "scan_atomics",
-]
+_EXPORTS = {
+    "kernel_to_ptx": ("repro.ptx.writer", "kernel_to_ptx"),
+    "PTXKernel": ("repro.ptx.parser", "PTXKernel"),
+    "PTXInstruction": ("repro.ptx.parser", "PTXInstruction"),
+    "parse_ptx": ("repro.ptx.parser", "parse_ptx"),
+    "PTXAtomicsSummary": ("repro.ptx.analysis", "PTXAtomicsSummary"),
+    "scan_atomics": ("repro.ptx.analysis", "scan_atomics"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,7 +20,7 @@ from repro.cudalite.regalloc import VInstr, VOperand, VProgram
 from repro.cudalite.types import PointerType
 from repro.sass.isa import Label
 
-__all__ = ["kernel_to_ptx", "vprogram_to_ptx"]
+__all__ = ["kernel_to_ptx", "lowered_to_ptx", "vprogram_to_ptx"]
 
 
 def _reg(op: VOperand) -> str:
@@ -257,10 +257,18 @@ def kernel_to_ptx(kernel: Kernel) -> str:
     :func:`repro.cudalite.compile_kernel` continues to SASS.
     """
     vprog, low = lower_kernel(kernel)
+    return lowered_to_ptx(kernel, vprog,
+                          [low.params[p.name] for p in kernel.params])
+
+
+def lowered_to_ptx(kernel: Kernel, vprog: VProgram, params: list) -> str:
+    """Render a kernel :func:`~repro.cudalite.compiler.lower_kernel`
+    already lowered: ``vprog`` is its stream, ``params`` its
+    ``ParamSlot`` per kernel parameter (what a ``CompiledKernel``
+    keeps, so its ``ptx_text`` costs no second lowering)."""
     param_names = {}
     param_decls = []
-    for i, p in enumerate(kernel.params):
-        slot = low.params[p.name]
+    for i, (p, slot) in enumerate(zip(kernel.params, params)):
         pname = f"{kernel.name}_param_{i}"
         param_names[slot.offset] = pname
         if isinstance(p.type, PointerType):

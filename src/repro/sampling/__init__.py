@@ -9,13 +9,15 @@ and offers the per-line aggregation GPUscout's report correlates with
 SASS findings.
 """
 
-from repro.sampling.pcsampler import PCSample, PCSampler, PCSamplingResult
-from repro.sampling.stall_report import LineStallProfile, build_line_profiles
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PCSample",
-    "PCSampler",
-    "PCSamplingResult",
-    "LineStallProfile",
-    "build_line_profiles",
-]
+_EXPORTS = {
+    "PCSample": ("repro.sampling.pcsampler", "PCSample"),
+    "PCSampler": ("repro.sampling.pcsampler", "PCSampler"),
+    "PCSamplingResult": ("repro.sampling.pcsampler", "PCSamplingResult"),
+    "LineStallProfile": ("repro.sampling.stall_report", "LineStallProfile"),
+    "build_line_profiles": ("repro.sampling.stall_report", "build_line_profiles"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

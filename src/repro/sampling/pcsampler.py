@@ -14,11 +14,13 @@ Figure 6 shows growing with problem size) is modelled in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.gpu.simulator import LaunchResult
 from repro.testing.faultinject import fail_point
 from repro.gpu.stalls import StallReason
+
+if TYPE_CHECKING:
+    from repro.gpu.simulator import LaunchResult
 
 __all__ = ["PCSample", "PCSamplingResult", "PCSampler"]
 

@@ -9,47 +9,33 @@ chains (``LDG.E.128.SYS``), register/memory/constant-bank operands and
 ``//## File "...", line N`` source-line markers.
 """
 
-from repro.sass.isa import (
-    Instruction,
-    Label,
-    MemRef,
-    Opcode,
-    OpClass,
-    Operand,
-    Program,
-    Register,
-    RegisterFile,
-    PT,
-    RZ,
-)
-from repro.sass.parser import parse_sass
-from repro.sass.writer import format_instruction, format_program
-from repro.sass.cfg import BasicBlock, ControlFlowGraph, Loop, build_cfg
-from repro.sass.liveness import LivenessInfo, compute_liveness, def_use_chains
-from repro.sass.occupancy import OccupancyResult, compute_occupancy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Instruction",
-    "Label",
-    "MemRef",
-    "Opcode",
-    "OpClass",
-    "Operand",
-    "Program",
-    "Register",
-    "RegisterFile",
-    "PT",
-    "RZ",
-    "parse_sass",
-    "format_instruction",
-    "format_program",
-    "BasicBlock",
-    "ControlFlowGraph",
-    "Loop",
-    "build_cfg",
-    "LivenessInfo",
-    "compute_liveness",
-    "def_use_chains",
-    "OccupancyResult",
-    "compute_occupancy",
-]
+_EXPORTS = {
+    "Instruction": ("repro.sass.isa", "Instruction"),
+    "Label": ("repro.sass.isa", "Label"),
+    "MemRef": ("repro.sass.isa", "MemRef"),
+    "Opcode": ("repro.sass.isa", "Opcode"),
+    "OpClass": ("repro.sass.isa", "OpClass"),
+    "Operand": ("repro.sass.isa", "Operand"),
+    "Program": ("repro.sass.isa", "Program"),
+    "Register": ("repro.sass.isa", "Register"),
+    "RegisterFile": ("repro.sass.isa", "RegisterFile"),
+    "PT": ("repro.sass.isa", "PT"),
+    "RZ": ("repro.sass.isa", "RZ"),
+    "parse_sass": ("repro.sass.parser", "parse_sass"),
+    "format_instruction": ("repro.sass.writer", "format_instruction"),
+    "format_program": ("repro.sass.writer", "format_program"),
+    "BasicBlock": ("repro.sass.cfg", "BasicBlock"),
+    "ControlFlowGraph": ("repro.sass.cfg", "ControlFlowGraph"),
+    "Loop": ("repro.sass.cfg", "Loop"),
+    "build_cfg": ("repro.sass.cfg", "build_cfg"),
+    "LivenessInfo": ("repro.sass.liveness", "LivenessInfo"),
+    "compute_liveness": ("repro.sass.liveness", "compute_liveness"),
+    "def_use_chains": ("repro.sass.liveness", "def_use_chains"),
+    "OccupancyResult": ("repro.sass.occupancy", "OccupancyResult"),
+    "compute_occupancy": ("repro.sass.occupancy", "compute_occupancy"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -39,8 +39,11 @@ from typing import Optional
 
 from repro.errors import Diagnostic
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.obs.metrics import merge_snapshots
+from repro.obs.metrics import armed, merge_snapshots, set_exemplar
 from repro.obs.slog import get_logger
+# also what makes a fork cheap to warm up: importing the service loads
+# the engine and the simulator here, in the parent
+from repro.serve.service import KernelRunner, error_envelope
 from repro.testing.faultinject import fail_point
 
 __all__ = ["WorkerPool"]
@@ -65,12 +68,9 @@ def _worker_main(worker_id: int, generation: int, task_q, result_q,
                  cache_dir, deadline, cache_mb) -> None:
     """Worker-process entry point: serve requests until the ``None``
     sentinel arrives."""
-    from repro.obs.metrics import REGISTRY, armed, set_exemplar
-    from repro.serve.service import KernelRunner, error_envelope
-
     # fork copied the parent's live registry values; zero them in
     # place so this worker's snapshots report only its own work
-    REGISTRY.reset()
+    _METRICS.reset()
     runner = KernelRunner(cache_dir=cache_dir, deadline=deadline,
                           worker_id=worker_id, cache_mb=cache_mb)
     while True:
@@ -96,7 +96,7 @@ def _worker_main(worker_id: int, generation: int, task_q, result_q,
             env["_telemetry"] = {
                 "worker": worker_id,
                 "generation": generation,
-                "snapshot": REGISTRY.snapshot(),
+                "snapshot": _METRICS.snapshot(),
             }
         result_q.put((req_id, env))
 
@@ -220,8 +220,6 @@ class WorkerPool:
         on another shard member (``MAX_ATTEMPTS`` total).  ``meta``
         rides along to the worker (request ID for exemplars and
         tracing); the enqueue timestamp is stamped per attempt."""
-        from repro.serve.service import error_envelope
-
         ring = self.ring(arch_key)
         tried: set[int] = set()
         retries = 0

@@ -33,6 +33,7 @@ from typing import Any, Optional
 
 from repro.errors import ReproError
 from repro.gpu.config import GPUSpec
+from repro.sass.affine import pointer_param_offsets
 
 __all__ = [
     "ARCHS",
@@ -229,12 +230,15 @@ def request_key(req: AnalyzeRequest) -> str:
 
 
 def static_key(kernel, config, extended: bool) -> str:
-    """The L1 address of one program's static artifacts: SASS text
-    (``kernel`` as for :func:`content_address`), launch geometry
-    (analyses may fold it into their static results) and the analysis
-    set."""
+    """The L1 address of one program's static artifacts — the inputs
+    :meth:`~repro.core.engine.StaticArtifacts.matches` then checks:
+    SASS text (``kernel`` as for :func:`content_address`), which
+    constant-bank slots hold pointers (the listing does not say),
+    launch geometry (analyses may fold it into their static results)
+    and the analysis set."""
     payload = {
         "sass": _sass_digest(kernel),
+        "pointers": sorted(pointer_param_offsets(kernel)),
         "grid": list(config.grid) if config is not None else None,
         "block": list(config.block) if config is not None else None,
         "extended": bool(extended),

@@ -33,7 +33,28 @@ import time
 from collections import OrderedDict
 from typing import Optional
 
+# One-shots import what their subcommand runs; a serving process does
+# the opposite, here and once: everything a request runs is loaded
+# before the first request and before WorkerPool forks, so workers
+# inherit the modules copy-on-write and no request, restart or respawn
+# pays an import (DESIGN "Start-up").  The plain ``import`` lines name
+# what the engine and the compiler defer to first use;
+# ``all_analyses()`` below loads the nine detectors.
+import repro.gpu.simulator  # noqa: F401
+import repro.metrics.collector  # noqa: F401
+import repro.obs.heatmap  # noqa: F401
+import repro.ptx.analysis  # noqa: F401
+import repro.ptx.writer  # noqa: F401
+import repro.sampling.stall_report  # noqa: F401
+import repro.sass.slicing  # noqa: F401
+import repro.sass.writer  # noqa: F401
+from repro.cli import exit_code_for, resolve_kernel
+from repro.core.base import all_analyses
+from repro.core.engine import GPUscout
+from repro.core.jsonout import report_to_dict
 from repro.errors import Diagnostic
+from repro.gpu.budget import SimBudget
+from repro.gpu.trace_cache import configure_trace_cache, trace_cache
 from repro.serve.cache import ReportCache, StaticCache
 from repro.serve.protocol import (
     EXIT_USAGE,
@@ -48,12 +69,12 @@ __all__ = ["KernelRunner", "corruption_diagnostic", "error_envelope"]
 
 _MB = 1024 * 1024
 
+all_analyses()
+
 
 def error_envelope(exc: BaseException) -> dict:
     """The JSON error body for a failed submission: the CLI's stage
     code, the exception class, and the message."""
-    from repro.cli import exit_code_for
-
     if isinstance(exc, ProtocolError):
         code = EXIT_USAGE
     elif isinstance(exc, SystemExit):
@@ -103,8 +124,6 @@ class KernelRunner:
         self._lock = threading.Lock()
         self.reports: Optional[ReportCache] = None
         if cache_dir is not None:
-            from repro.gpu.trace_cache import configure_trace_cache
-
             configure_trace_cache(
                 os.path.join(cache_dir, "traces"),
                 max_store_bytes=cache_mb * _MB,
@@ -137,8 +156,6 @@ class KernelRunner:
         request; built-in kernels are compiled once per process."""
         if req.sass is not None:
             return req.sass, None, None, {}
-        from repro.cli import resolve_kernel
-
         key = (req.kernel, req.size, req.compute_iterations)
         with self._lock:
             hit = self._resolved.get(key)
@@ -157,8 +174,6 @@ class KernelRunner:
         key = (req.arch, req.extended)
         scout = self._scouts.get(key)
         if scout is None:
-            from repro.core import GPUscout, all_analyses
-
             scout = GPUscout(
                 analyses=all_analyses() if req.extended else None,
                 spec=arch_spec(req.arch),
@@ -168,9 +183,6 @@ class KernelRunner:
 
     # ------------------------------------------------------------------
     def _run(self, req: AnalyzeRequest) -> dict:
-        from repro.core.jsonout import report_to_dict
-        from repro.gpu.budget import SimBudget
-
         kernel, config, args, textures = self._resolve(req)
         spec = arch_spec(req.arch)
         address = content_address(
@@ -196,6 +208,8 @@ class KernelRunner:
         scout = self._scout(req)
         skey = static_key(kernel, config, req.extended)
         art = self.static.get(skey)
+        if art is not None and not art.matches(kernel, config):
+            art = None  # the engine would recompute: say so
         cache_tier = "l1" if art is not None else "cold"
         deadline = req.deadline if req.deadline is not None \
             else self.deadline
@@ -239,8 +253,6 @@ class KernelRunner:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        from repro.gpu.trace_cache import trace_cache
-
         out = {
             "cold": self.cold,
             "l1_hits": self.l1_hits,

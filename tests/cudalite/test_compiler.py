@@ -357,16 +357,16 @@ class TestRenderings:
 
         calls = []
         for mod, fn in ((sass_writer, "format_program"),
-                        (ptx_writer, "kernel_to_ptx")):
+                        (ptx_writer, "lowered_to_ptx")):
             real = getattr(mod, fn)
             monkeypatch.setattr(
                 mod, fn,
-                lambda x, real=real, fn=fn: (calls.append(fn), real(x))[1])
+                lambda *a, real=real, fn=fn: (calls.append(fn), real(*a))[1])
         ck, _ = self._two_kernels()
         texts = [(ck.sass_text, ck.ptx_text, ck.sass_sha256)
                  for _ in range(3)]
         assert texts[0] == texts[1] == texts[2]
-        assert sorted(calls) == ["format_program", "kernel_to_ptx"]
+        assert sorted(calls) == ["format_program", "lowered_to_ptx"]
         assert ck.sass_sha256 == hashlib.sha256(
             ck.sass_text.encode()).hexdigest()
 
@@ -382,3 +382,32 @@ class TestRenderings:
         assert swapped.sass_sha256 == second.sass_sha256
         assert swapped.ptx_text == second.ptx_text != first.ptx_text
         assert (first.sass_text, first.ptx_text, first.sass_sha256) == want
+
+    def test_one_lowering_per_compile(self, monkeypatch):
+        """``ptx_text`` renders the stream ``compile_kernel`` lowered
+        and is what ``kernel_to_ptx`` returns for the same kernel; a
+        ``replace`` copy drops the stream and lowers for itself."""
+        from repro.cli import _kernel_catalog, resolve_kernel
+        from repro.cudalite import compiler
+        from repro.ptx import writer as ptx_writer
+
+        lowered = []
+        real = compiler.lower_kernel
+
+        def spy(kernel):
+            lowered.append(kernel.name)
+            return real(kernel)
+
+        monkeypatch.setattr(compiler, "lower_kernel", spy)
+        monkeypatch.setattr(ptx_writer, "lower_kernel", spy)
+        specs = sorted(_kernel_catalog())
+        assert len(specs) == 17
+        for spec in specs:
+            del lowered[:]
+            ck = resolve_kernel(spec, 96)[0]
+            text = ck.ptx_text
+            assert lowered == [ck.name], spec
+            assert text == ptx_writer.kernel_to_ptx(ck.kernel)
+            copy = dataclasses.replace(ck)
+            assert copy.vprogram is None
+            assert copy.ptx_text == text

@@ -48,6 +48,24 @@ class TestRenderers:
         assert "hottest source lines" in text
         assert "launch" in text
 
+    def test_hot_line_names_the_producer_that_owns_its_dominant_stall(self):
+        """sgemm:naive's hot line stalls on its loads, not on the
+        address arithmetic that happens to sort first in ``waits_on``."""
+        ck, config, args, textures = resolve_kernel("sgemm:naive", 96)
+        report = GPUscout().analyze(ck, config, args, textures=textures,
+                                    max_blocks=8)
+        hot = report.heatmap.top(1)[0]
+        assert hot.dominant().cupti_name == "stalled_long_scoreboard"
+        assert not hot.waits_on[0]["op"].startswith("LDG")  # stored order
+        line = next(row for row in report.render(profile=True).splitlines()
+                    if row.startswith(f"  line {hot.line} "))
+        assert "dominant: stalled_long_scoreboard  waits on: LDG" in line
+        # the HTML cell lists at most three, the owners first
+        first = [w["op"] for w in hot.producers()[:3]]
+        assert first[0].startswith("LDG")
+        assert f"{first[0]} (line" in report.render_html()
+        assert hot.to_dict()["waits_on"] == hot.waits_on  # JSON unchanged
+
     def test_html_has_profile_table(self, full_report):
         html = full_report.render_html()
         assert "Pipeline self-profile" in html

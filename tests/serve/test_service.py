@@ -103,6 +103,32 @@ class TestRequestOptions:
         assert a["address"] != b["address"]
         assert b["cache"] == "l1", "same program+geometry must reuse L1"
 
+    def test_l1_key_and_guard_name_the_same_inputs(self, monkeypatch):
+        """Two sizes that compile to the same SASS under the same
+        geometry are distinct compiled objects: the second is an L1 hit
+        the engine accepts, and a hit the engine refuses says cold."""
+        from repro.core.engine import GPUscout, StaticArtifacts
+
+        static_runs = []
+        real = GPUscout._run_static
+        monkeypatch.setattr(
+            GPUscout, "_run_static",
+            lambda self, *a: (static_runs.append(1), real(self, *a))[1])
+        runner = KernelRunner()
+        a = runner.run({"kernel": "mixbench:sp:naive", "size": 100})
+        b = runner.run({"kernel": "mixbench:sp:naive", "size": 200})
+        assert a["address"] != b["address"]
+        assert (a["cache"], b["cache"]) == ("cold", "l1")
+        assert len(static_runs) == 1
+        via_cli = cli_report("analyze", "--kernel", "mixbench:sp:naive",
+                             "--size", "200")
+        assert strip_volatile(b["report"]) == strip_volatile(via_cli)
+        # had the guard refused, the reply would not claim the hit
+        monkeypatch.setattr(StaticArtifacts, "matches", lambda *a: False)
+        c = runner.run({"kernel": "mixbench:sp:naive", "size": 200,
+                        "max_blocks": 2})
+        assert c["cache"] == "cold"
+
     def test_deadline_degrades_and_is_not_cached(self, tmp_path):
         runner = KernelRunner(cache_dir=str(tmp_path))
         env = runner.run({"kernel": KERNEL, "size": SIZE,
