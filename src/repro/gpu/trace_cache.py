@@ -54,15 +54,11 @@ import copy
 import hashlib
 import os
 import pickle
-import struct
-import threading
 import zlib
-from collections import OrderedDict
-from pathlib import Path
+from operator import attrgetter
 from typing import Optional
 
-from repro.obs.metrics import REGISTRY as _METRICS
-from repro.testing.faultinject import fail_point
+from repro.cache import DEFAULT_STORE_BYTES, FileStore, TieredCache
 
 __all__ = [
     "FileStore",
@@ -73,209 +69,49 @@ __all__ = [
 
 _MB = 1024 * 1024
 
-# telemetry series for the L2 (effect-trace) tier; no-ops while the
-# registry is disarmed
-_L2_HITS = _METRICS.counter(
-    "gpuscout_cache_hits_total", "Cache hits by tier", tier="l2")
-_L2_MISSES = _METRICS.counter(
-    "gpuscout_cache_misses_total", "Cache misses by tier", tier="l2")
-_L2_DISK_HITS = _METRICS.counter(
-    "gpuscout_cache_disk_hits_total",
-    "Cache hits served from the shared disk tier", tier="l2")
-_L2_EVICTIONS = _METRICS.counter(
-    "gpuscout_cache_evictions_total",
-    "Cache entries evicted by size caps", tier="l2")
-
 #: default in-memory payload cap; one wave trace of the benchmark
 #: kernels is a few hundred KiB (``TimedTrace.nbytes``: 0.07-1.2 MB),
 #: so the entry cap normally binds first and this stops a session of
 #: unusually large traces from growing unbounded
 DEFAULT_MAX_BYTES = 256 * _MB
-DEFAULT_STORE_BYTES = 512 * _MB
-
-
-class FileStore:
-    """Content-addressed bytes on disk with atomic writes.
-
-    Writes go to a temp file in the same directory followed by
-    :func:`os.replace`, so readers (other service workers included)
-    only ever see complete entries.  Every entry carries a CRC32
-    header; a failed check — truncation, bit rot, or an injected
-    ``serve.cache_read`` fault — deletes the entry and reports it as
-    *corrupt* rather than returning bad bytes.  Total size is capped:
-    eviction removes least-recently-*used* files (reads touch mtime).
-    """
-
-    MAGIC = b"GSC1"
-
-    def __init__(self, root, max_bytes: int = DEFAULT_STORE_BYTES,
-                 name: str = "traces"):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        self.name = name
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-        self._m_corrupt = _METRICS.counter(
-            "gpuscout_store_corrupt_total",
-            "Store entries discarded by integrity checks", store=name)
-        self._m_evictions = _METRICS.counter(
-            "gpuscout_store_evictions_total",
-            "Store files removed by the byte-cap LRU", store=name)
-
-    def note_corrupt(self) -> None:
-        """Record one integrity-check discard (callers that decode the
-        payload themselves report undecodable entries through this)."""
-        self.corrupt += 1
-        self._m_corrupt.inc()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.bin"
-
-    # -- read ------------------------------------------------------------
-    def get(self, key: str) -> tuple[Optional[bytes], bool]:
-        """Return ``(payload, corrupted)``.
-
-        ``payload`` is ``None`` on a miss *or* a corrupt entry; the
-        flag distinguishes the two so callers can attach a diagnostic
-        to a recompute forced by corruption."""
-        path = self._path(key)
-        try:
-            fail_point("serve.cache_read")
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            return None, False
-        except Exception:
-            # injected fault or unreadable file: same contract as a
-            # failed checksum — discard and recompute
-            return None, self._discard(path)
-        if (
-            len(raw) < 8
-            or raw[:4] != self.MAGIC
-            or struct.unpack("<I", raw[4:8])[0] != zlib.crc32(raw[8:])
-        ):
-            return None, self._discard(path)
-        self.hits += 1
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-        return raw[8:], False
-
-    def _discard(self, path: Path) -> bool:
-        self.note_corrupt()
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return True
-
-    # -- write -----------------------------------------------------------
-    def put(self, key: str, payload: bytes) -> None:
-        path = self._path(key)
-        blob = self.MAGIC + struct.pack("<I", zlib.crc32(payload)) + payload
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return
-        self._evict()
-
-    def delete(self, key: str) -> None:
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-
-    def _scan(self) -> list[tuple[float, int, str]]:
-        """One directory pass: ``(mtime, size, path)`` per entry.  A
-        file another process removes mid-scan is skipped."""
-        files = []
-        try:
-            with os.scandir(self.root) as it:
-                for ent in it:
-                    if not ent.name.endswith(".bin"):
-                        continue
-                    try:
-                        st = ent.stat()
-                    except OSError:
-                        continue
-                    files.append((st.st_mtime, st.st_size, ent.path))
-        except OSError:
-            pass
-        return files
-
-    def _evict(self) -> None:
-        """Drop least-recently-used files until under the byte cap."""
-        with self._lock:
-            files = self._scan()
-            total = sum(size for _, size, _ in files)
-            if total <= self.max_bytes:
-                return
-            for _, size, path in sorted(files):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                self.evictions += 1
-                self._m_evictions.inc()
-                total -= size
-                if total <= self.max_bytes:
-                    break
-
-    def bytes_used(self) -> int:
-        """Current on-disk payload bytes (never negative: recomputed
-        from the directory, not tracked incrementally)."""
-        return sum(size for _, size, _ in self._scan())
-
-    def stats(self) -> dict:
-        files = self._scan()
-        return {
-            "entries": len(files),
-            "bytes": sum(size for _, size, _ in files),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-        }
 
 
 class _Entry:
     __slots__ = ("trace", "warp_counts", "n_warps", "compiled", "nbytes")
 
-    def __init__(self, trace, warp_counts, n_warps, compiled):
+    def __init__(self, trace, warp_counts, compiled):
         self.trace = trace
         self.warp_counts = warp_counts
-        self.n_warps = n_warps
+        self.n_warps = trace.n_warps
         self.compiled = compiled  # strong ref pins id(compiled)
         self.nbytes = trace.nbytes
 
 
-class TraceCache:
+def _encode(ent: _Entry) -> bytes:
+    # the lazily-built issue plan holds decoded-program references that
+    # must not cross processes; the first replay rebuilds it
+    trace = copy.copy(ent.trace)
+    trace.plan = None
+    return pickle.dumps((trace, ent.warp_counts),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _decode(payload: bytes) -> _Entry:
+    trace, warp_counts = pickle.loads(payload)
+    return _Entry(trace, warp_counts, None)  # ``get`` pins the reader's
+
+
+class TraceCache(TieredCache):
     """Size-capped LRU map from wave keys to built ``TimedTrace``
     objects, optionally backed by a shared on-disk :class:`FileStore`."""
 
     def __init__(self, capacity: int = 64,
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  store: Optional[FileStore] = None):
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.store = store
-        self._entries: OrderedDict = OrderedDict()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
+        super().__init__("l2", capacity, max_bytes=max_bytes,
+                         size=attrgetter("nbytes"), store=store,
+                         encode=_encode, decode=_decode,
+                         disk_key=self.disk_key)
 
     # -- keys ------------------------------------------------------------
     def launch_key(self, compiled, config, param_values: dict,
@@ -318,101 +154,16 @@ class TraceCache:
 
     # -- LRU -------------------------------------------------------------
     def get(self, wave_key: tuple, compiled=None) -> Optional[_Entry]:
-        ent = self._entries.get(wave_key)
-        if ent is not None:
-            self._entries.move_to_end(wave_key)
-            self.hits += 1
-            _L2_HITS.inc()
-            return ent
-        if self.store is not None and compiled is not None:
-            ent = self._disk_get(wave_key, compiled)
-            if ent is not None:
-                self.hits += 1
-                self.disk_hits += 1
-                _L2_HITS.inc()
-                _L2_DISK_HITS.inc()
-                return ent
-        self.misses += 1
-        _L2_MISSES.inc()
-        return None
-
-    def _disk_get(self, wave_key: tuple, compiled) -> Optional[_Entry]:
-        key = self.disk_key(wave_key)
-        payload, _corrupt = self.store.get(key)
-        if payload is None:
-            return None
-        try:
-            trace, warp_counts = pickle.loads(payload)
-        except Exception:
-            # undecodable despite a clean CRC (e.g. version skew):
-            # discard, treat as miss
-            self.store.delete(key)
-            self.store.note_corrupt()
-            return None
-        self._insert(wave_key, trace, warp_counts, compiled)
-        return self._entries[wave_key]
+        # a stored trace is keyed in memory by the *reader's*
+        # ``id(compiled)``: without a kernel to pin, skip the disk
+        ent, _ = super().get(wave_key, disk=compiled is not None)
+        if ent is not None and ent.compiled is None:
+            ent.compiled = compiled
+        return ent
 
     def put(self, wave_key: tuple, trace, warp_counts: dict,
             compiled) -> None:
-        self._insert(wave_key, trace, warp_counts, compiled)
-        if self.store is not None:
-            try:
-                payload = pickle.dumps(
-                    (_strip_plan(trace), dict(warp_counts)),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            except Exception:
-                return  # unpicklable payload: memory tier only
-            self.store.put(self.disk_key(wave_key), payload)
-
-    def _insert(self, wave_key, trace, warp_counts, compiled) -> None:
-        old = self._entries.pop(wave_key, None)
-        if old is not None:
-            self.bytes -= old.nbytes
-        ent = _Entry(trace, dict(warp_counts), trace.n_warps, compiled)
-        self._entries[wave_key] = ent
-        self.bytes += ent.nbytes
-        while self._entries and (
-            len(self._entries) > self.capacity or self.bytes > self.max_bytes
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self.bytes -= evicted.nbytes
-            self.evictions += 1
-            _L2_EVICTIONS.inc()
-
-    def keys(self) -> list:
-        """Current keys, least- to most-recently used (for tests)."""
-        return list(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
-
-    def stats(self) -> dict:
-        out = {
-            "entries": len(self._entries),
-            "bytes": self.bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-        }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        return out
-
-
-def _strip_plan(trace):
-    """A copy of ``trace`` without the lazily-built issue plan (it
-    holds decoded-program references that must not cross processes;
-    the first replay rebuilds it)."""
-    out = copy.copy(trace)
-    out.plan = None
-    return out
+        super().put(wave_key, _Entry(trace, dict(warp_counts), compiled))
 
 
 #: process-wide instance (the build is deterministic, so sharing across

@@ -1,191 +1,79 @@
 """L1 and L3 tiers of the multi-level result cache.
 
-Every tier is keyed by content (see :mod:`repro.serve.protocol`), so
-invalidation is structural — a changed input derives a different key
-and simply misses; stale entries age out of the size-capped LRUs.
+Both are :class:`~repro.cache.TieredCache` instances under the names
+and signatures the service and the harness drive them by.
 
 * **L1 — static artifacts** (:class:`StaticCache`): per (SASS hash,
   geometry, analysis set), the parsed program, CFG/affine context and
   pristine findings from :meth:`~repro.core.engine.GPUscout.analyze_static`.
   In-memory only (the artifacts hold live ``Program``/CFG objects) and
   per-process: each service worker warms its own.
-* **L2 — effect traces** lives in :mod:`repro.gpu.trace_cache` (shared
-  disk tier across workers).
+* **L2 — effect traces** (``TraceCache``) lives next to the simulator
+  that fills it (shared disk tier across workers).
 * **L3 — full reports** (:class:`ReportCache`): the schema-v4 report
   JSON per full content address, memory-first with a disk tier behind
-  it (atomic-rename writes, CRC-checked reads via
-  :class:`~repro.gpu.trace_cache.FileStore`).  A warm L3 hit is one
-  dict lookup or one file read — no engine involvement at all.
-
-A corrupted disk entry (failed CRC, or an injected ``serve.cache_read``
-fault) is deleted and reported so the service can attach a
-:class:`~repro.errors.Diagnostic` to the recomputed response.
+  it.  A warm L3 hit is one dict lookup or one file read — no engine
+  involvement at all.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from typing import Optional
 
-from repro.gpu.trace_cache import FileStore
-from repro.obs.metrics import REGISTRY as _METRICS
+from repro.cache import FileStore, TieredCache
 
 __all__ = ["ReportCache", "StaticCache"]
 
 _MB = 1024 * 1024
 
-# telemetry series for the L1 (static artifacts) and L3 (full report)
-# tiers; no-ops while the registry is disarmed
-_L1_HITS = _METRICS.counter(
-    "gpuscout_cache_hits_total", "Cache hits by tier", tier="l1")
-_L1_MISSES = _METRICS.counter(
-    "gpuscout_cache_misses_total", "Cache misses by tier", tier="l1")
-_L1_EVICTIONS = _METRICS.counter(
-    "gpuscout_cache_evictions_total",
-    "Cache entries evicted by size caps", tier="l1")
-_L3_HITS = _METRICS.counter(
-    "gpuscout_cache_hits_total", "Cache hits by tier", tier="l3")
-_L3_MISSES = _METRICS.counter(
-    "gpuscout_cache_misses_total", "Cache misses by tier", tier="l3")
-_L3_DISK_HITS = _METRICS.counter(
-    "gpuscout_cache_disk_hits_total",
-    "Cache hits served from the shared disk tier", tier="l3")
-_L3_EVICTIONS = _METRICS.counter(
-    "gpuscout_cache_evictions_total",
-    "Cache entries evicted by size caps", tier="l3")
 
-
-class StaticCache:
+class StaticCache(TieredCache):
     """Entry-capped LRU of :class:`~repro.core.engine.StaticArtifacts`."""
 
     def __init__(self, capacity: int = 128):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__("l1", capacity)
 
     def get(self, key: str):
-        with self._lock:
-            art = self._entries.get(key)
-            if art is None:
-                self.misses += 1
-                _L1_MISSES.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            _L1_HITS.inc()
-            return art
-
-    def put(self, key: str, artifacts) -> None:
-        with self._lock:
-            self._entries[key] = artifacts
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _L1_EVICTIONS.inc()
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        return super().get(key)[0]
 
 
-class ReportCache:
+def _dumps(report: dict) -> str:
+    return json.dumps(report, sort_keys=True)
+
+
+def _decode(payload: bytes) -> str:
+    blob = payload.decode()
+    json.loads(blob)  # a clean CRC over a non-report is still corrupt
+    return blob
+
+
+class ReportCache(TieredCache):
     """Memory + disk LRU of full report JSON, keyed by content address.
 
-    ``get`` returns ``(report_dict | None, corrupted)`` — the flag is
-    ``True`` when a disk entry existed but failed its integrity check
-    and was discarded, so the caller can diagnose the forced recompute.
+    Entries are the serialised blobs, sized by length; ``get`` parses
+    a fresh dict per call, so callers may mutate what they receive.
     """
 
     def __init__(self, directory=None, capacity: int = 256,
                  max_disk_bytes: int = 256 * _MB):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.store: Optional[FileStore] = (
-            FileStore(directory, max_bytes=max_disk_bytes,
-                      name="reports")
+        store = (
+            FileStore(directory, max_bytes=max_disk_bytes, name="reports")
             if directory is not None else None
         )
-        self.hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: bytes held by the in-memory tier (sum of blob lengths)
-        self.bytes = 0
+        super().__init__("l3", capacity, size=len, store=store,
+                         encode=str.encode, decode=_decode)
 
     def get(self, key: str) -> tuple[Optional[dict], bool]:
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _L3_HITS.inc()
-                # deep copy: callers must not mutate the cached body
-                return json.loads(cached), False
-        if self.store is not None:
-            payload, corrupted = self.store.get(key)
-            if payload is not None:
-                try:
-                    report = json.loads(payload.decode())
-                except Exception:
-                    self.store.delete(key)
-                    self.store.note_corrupt()
-                    self.misses += 1
-                    _L3_MISSES.inc()
-                    return None, True
-                with self._lock:
-                    self._remember(key, payload.decode())
-                self.hits += 1
-                self.disk_hits += 1
-                _L3_HITS.inc()
-                _L3_DISK_HITS.inc()
-                return report, False
-            if corrupted:
-                self.misses += 1
-                _L3_MISSES.inc()
-                return None, True
-        self.misses += 1
-        _L3_MISSES.inc()
-        return None, False
+        """``(report_dict | None, corrupted)`` — the flag is ``True``
+        when a disk entry existed but failed its integrity check and
+        was discarded, so the caller can diagnose the forced
+        recompute."""
+        blob, corrupted = super().get(key)
+        return (None if blob is None else json.loads(blob)), corrupted
 
     def put(self, key: str, report: dict) -> None:
-        blob = json.dumps(report, sort_keys=True)
-        with self._lock:
-            self._remember(key, blob)
-        if self.store is not None:
-            self.store.put(key, blob.encode())
+        super().put(key, _dumps(report))
 
-    def _remember(self, key: str, blob: str) -> None:
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.bytes -= len(old)
-        self._entries[key] = blob
-        self.bytes += len(blob)
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self.bytes -= len(evicted)
-            self.evictions += 1
-            _L3_EVICTIONS.inc()
-
-    def stats(self) -> dict:
-        out = {
-            "entries": len(self._entries),
-            "bytes": self.bytes,
-            "hits": self.hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        return out
+    def remember(self, key: str, report: dict) -> None:
+        super().remember(key, _dumps(report))

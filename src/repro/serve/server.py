@@ -42,12 +42,13 @@ from __future__ import annotations
 import json
 import secrets
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 from typing import Optional
 
+from repro.cache import TieredCache
+from repro.gpu.trace_cache import trace_cache
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.metrics import (
     arm,
@@ -72,6 +73,7 @@ from repro.serve.service import (
     KernelRunner,
     corruption_diagnostic,
     error_envelope,
+    l3_envelope,
 )
 
 __all__ = ["ScoutServer", "new_request_id"]
@@ -126,12 +128,12 @@ class ScoutServer:
         #: request-fingerprint -> content-address memo: lets the server
         #: answer repeats from L3 without resolving (= compiling) the
         #: kernel itself
-        self._address_memo: OrderedDict = OrderedDict()
-        self._memo_lock = threading.Lock()
+        self._address_memo = TieredCache("memo", 4096)
         #: single-flight table: request fingerprints currently being
         #: computed; identical concurrent submissions (batch duplicates,
         #: racing clients) wait for the leader instead of recomputing
         self._inflight: dict = {}
+        self._inflight_lock = threading.Lock()
         self.requests = 0
         self.l3_front_hits = 0
         self.coalesced = 0
@@ -182,16 +184,13 @@ class ScoutServer:
     # -- request handling ------------------------------------------------
     def _front_hit(self, rkey: str) -> tuple[Optional[dict], bool]:
         """L3 front lookup: ``(envelope | None, corrupted)``."""
-        with self._memo_lock:
-            address = self._address_memo.get(rkey)
+        address, _ = self._address_memo.get(rkey)
         if address is None or self.runner.reports is None:
             return None, False
         cached, corrupted = self.runner.reports.get(address)
         if cached is None:
             return None, corrupted
-        return {"ok": True, "code": 0, "cache": "l3", "address": address,
-                "kernel": cached.get("kernel"), "cacheable": True,
-                "report": cached}, False
+        return l3_envelope(address, cached), False
 
     def handle_submission(self, payload,
                           request_id: Optional[str] = None
@@ -232,7 +231,7 @@ class ScoutServer:
         # single-flight: if an identical submission is already being
         # computed, wait for its result instead of computing it again
         while True:
-            with self._memo_lock:
+            with self._inflight_lock:
                 leader_done = self._inflight.get(rkey)
                 if leader_done is None:
                     self._inflight[rkey] = threading.Event()
@@ -256,18 +255,15 @@ class ScoutServer:
                 with prof.span("compute"):
                     env = self.runner.run(payload)
             if env.get("ok") and env.get("cacheable"):
-                with self._memo_lock:
-                    self._address_memo[rkey] = env["address"]
-                    while len(self._address_memo) > 4096:
-                        self._address_memo.popitem(last=False)
-                # pooled responses flow through the server's report
-                # cache too, so the memory tier answers repeats
-                # without disk I/O
+                self._address_memo.put(rkey, env["address"])
+                # the worker already wrote the shared disk tier; the
+                # server keeps a memory copy so repeats cost no disk I/O
                 if self.pool is not None and \
                         self.runner.reports is not None:
-                    self.runner.reports.put(env["address"], env["report"])
+                    self.runner.reports.remember(env["address"],
+                                                 env["report"])
         finally:
-            with self._memo_lock:
+            with self._inflight_lock:
                 done = self._inflight.pop(rkey, None)
             if done is not None:
                 done.set()
@@ -345,27 +341,19 @@ class ScoutServer:
         ).observe(seconds, exemplar=request_id)
 
     def occupancy(self) -> dict:
-        """Per-tier entry/byte occupancy, computed at call time."""
-        from repro.gpu.trace_cache import trace_cache
-
-        out: dict = {
-            "l1": {"entries": len(self.runner.static._entries)},
-        }
-        tc = trace_cache()
-        if tc is not None:
-            st = tc.stats()
-            l2 = {"entries": st["entries"], "bytes": st["bytes"],
-                  "evictions": st["evictions"]}
-            if "store" in st:
-                l2["store_bytes"] = st["store"]["bytes"]
-            out["l2"] = l2
-        if self.runner.reports is not None:
-            reports = self.runner.reports
-            l3 = {"entries": len(reports._entries),
-                  "bytes": reports.bytes}
-            if reports.store is not None:
-                l3["store_bytes"] = reports.store.bytes_used()
-            out["l3"] = l3
+        """Every cache instance's ``stats()`` under its tier label
+        (a tiered one's store folded into ``store_bytes``)."""
+        runner = self.runner
+        out: dict = {}
+        for cache in (runner.resolved, runner.static, trace_cache(),
+                      runner.reports, self._address_memo):
+            if cache is None:
+                continue
+            stats = cache.stats()
+            store = stats.pop("store", None)
+            if store is not None:
+                stats["store_bytes"] = store["bytes"]
+            out[cache.tier] = stats
         return out
 
     def _set_occupancy_gauges(self) -> None:

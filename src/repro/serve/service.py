@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional
 
 # One-shots import what their subcommand runs; a serving process does
@@ -48,6 +47,7 @@ import repro.ptx.writer  # noqa: F401
 import repro.sampling.stall_report  # noqa: F401
 import repro.sass.slicing  # noqa: F401
 import repro.sass.writer  # noqa: F401
+from repro.cache import TieredCache
 from repro.cli import exit_code_for, resolve_kernel
 from repro.core.base import all_analyses
 from repro.core.engine import GPUscout
@@ -65,7 +65,8 @@ from repro.serve.protocol import (
     static_key,
 )
 
-__all__ = ["KernelRunner", "corruption_diagnostic", "error_envelope"]
+__all__ = ["KernelRunner", "corruption_diagnostic", "error_envelope",
+           "l3_envelope"]
 
 _MB = 1024 * 1024
 
@@ -90,6 +91,13 @@ def error_envelope(exc: BaseException) -> dict:
         "error": type(exc).__name__,
         "message": str(exc) or type(exc).__name__,
     }
+
+
+def l3_envelope(address: str, report: dict) -> dict:
+    """The envelope of a submission answered from the report cache."""
+    return {"ok": True, "code": 0, "cache": "l3", "address": address,
+            "kernel": report.get("kernel"), "cacheable": True,
+            "report": report}
 
 
 def corruption_diagnostic(tier: str) -> dict:
@@ -118,8 +126,7 @@ class KernelRunner:
         #: resolved built-in kernels: (spec, size, iters) -> tuple;
         #: reuse keeps ``id(compiled)`` stable, which is what makes the
         #: in-memory L2 tier hit across repeat submissions
-        self._resolved: OrderedDict = OrderedDict()
-        self._resolved_capacity = 64
+        self.resolved = TieredCache("resolve", 64)
         self._scouts: dict = {}
         self._lock = threading.Lock()
         self.reports: Optional[ReportCache] = None
@@ -157,17 +164,11 @@ class KernelRunner:
         if req.sass is not None:
             return req.sass, None, None, {}
         key = (req.kernel, req.size, req.compute_iterations)
-        with self._lock:
-            hit = self._resolved.get(key)
-            if hit is not None:
-                self._resolved.move_to_end(key)
+        hit, _ = self.resolved.get(key)
         if hit is None:
             hit = resolve_kernel(req.kernel, req.size,
                                  req.compute_iterations)
-            with self._lock:
-                self._resolved[key] = hit
-                while len(self._resolved) > self._resolved_capacity:
-                    self._resolved.popitem(last=False)
+            self.resolved.put(key, hit)
         return hit
 
     def _scout(self, req: AnalyzeRequest):
@@ -201,9 +202,7 @@ class KernelRunner:
             cached, corrupted = self.reports.get(address)
             if cached is not None:
                 self.l3_hits += 1
-                return {"ok": True, "code": 0, "cache": "l3",
-                        "address": address, "kernel": cached.get("kernel"),
-                        "cacheable": True, "report": cached}
+                return l3_envelope(address, cached)
 
         scout = self._scout(req)
         skey = static_key(kernel, config, req.extended)
@@ -257,6 +256,7 @@ class KernelRunner:
             "cold": self.cold,
             "l1_hits": self.l1_hits,
             "l3_hits": self.l3_hits,
+            "resolve": self.resolved.stats(),
             "static": self.static.stats(),
         }
         if self.reports is not None:

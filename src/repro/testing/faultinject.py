@@ -48,7 +48,7 @@ REGISTRY: dict[str, str] = {
                        "metric collection",
     "engine.analysis": "core.engine — one registered SASS analysis",
     "engine.predictions": "core.engine — affine predicted/measured attach",
-    "serve.cache_read": "gpu.trace_cache.FileStore.get — one disk cache "
+    "serve.cache_read": "cache.FileStore.get — one disk cache "
                         "read (trace L2 or report L3); firing simulates "
                         "a corrupted entry, which is discarded and "
                         "recomputed",

@@ -105,7 +105,7 @@ class TestLRU:
         c = TraceCache(capacity=2)
         for i in range(3):
             c.put((("k", i), 0, 0, 1, 1), _FakeTrace(), {}, object())
-        assert len(c._entries) == 2
+        assert len(c.keys()) == 2
         assert c.stats()["evictions"] == 1
         assert c.get((("k", 0), 0, 0, 1, 1)) is None
         assert c.get((("k", 2), 0, 0, 1, 1)) is not None
@@ -186,7 +186,8 @@ class TestPayloadAccounting:
         stats = cache.stats()
         assert stats["evictions"] == 0
         assert stats["entries"] == stats["misses"] >= len(ENGINE_CLASSES)
-        for ent in cache._entries.values():
+        for wave_key in cache.keys():
+            ent = cache.get(wave_key)
             trace = ent.trace
             arrays = _distinct_arrays(
                 [trace.pcs, trace.dyn, trace.post_writes], {})
@@ -212,6 +213,6 @@ class TestPayloadAccounting:
         for wave_key in cache.keys():
             ent = reader.get(wave_key, compiled=rk[0])
             assert ent is not None
-            assert ent.nbytes == cache._entries[wave_key].nbytes > 0
+            assert ent.nbytes == cache.get(wave_key).nbytes > 0
         assert reader.disk_hits == len(cache.keys())
         assert reader.bytes == cache.bytes

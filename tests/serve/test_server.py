@@ -71,6 +71,40 @@ class TestEndpoints:
         assert server.runner.cold == cold_runs, \
             "warm repeat must not reach the engine"
 
+    def test_address_memo_keeps_what_is_read(self, server):
+        """The memo is an LRU, not a FIFO: a submission repeated now
+        and then outlives more than a memo's worth (4096) of others
+        and never reaches the engine a second time."""
+        from repro.serve.cache import ReportCache
+
+        reports = server.runner.reports = ReportCache(None, capacity=8192)
+        computed = []
+
+        def run(payload):
+            address = f"address-{payload['size']}"
+            computed.append(address)
+            report = {"kernel": KERNEL}
+            reports.put(address, report)
+            return {"ok": True, "code": 0, "cache": "cold",
+                    "address": address, "kernel": KERNEL,
+                    "cacheable": True, "report": report}
+
+        server.runner.run = run
+
+        def submit(size):
+            return server.handle_submission(
+                {"kernel": KERNEL, "size": size})[1]["cache"]
+
+        assert submit(1) == "cold"
+        for size in range(2, 4200):
+            assert submit(size) == "cold"
+            if size % 512 == 0:
+                assert submit(1) == "l3"
+        assert submit(1) == "l3"
+        assert computed.count("address-1") == 1
+        memo = server.stats()["occupancy"]["memo"]
+        assert memo["entries"] == 4096 and memo["evictions"] > 0
+
     def test_batch_preserves_order_and_reports_partial_failure(
             self, server):
         status, body = post(server, "/v1/batch", {"requests": [
@@ -162,6 +196,28 @@ class TestPooledServer:
             status, second = post(srv, "/v1/batch", reqs, timeout=300)
             assert status == 200
             assert all(r["cache"] == "l3" for r in second["responses"])
+        configure_trace_cache(None)
+
+    def test_pooled_miss_reaches_the_disk_once(self, tmp_path):
+        """The worker writes the shared report store; the server keeps
+        a memory copy only, and the repeat is still a front hit."""
+        with ScoutServer(workers=1, cache_dir=str(tmp_path)).start() \
+                as srv:
+            reports = srv.runner.reports
+            server_puts = []
+            reports.store.put = lambda *a: server_puts.append(a)
+            body = {"kernel": KERNEL, "size": 128}
+            status, first = post(srv, "/v1/analyze", body, timeout=300)
+            assert status == 200 and first["cache"] == "cold"
+            assert first["worker"] == 0
+            assert [p.stem for p in (tmp_path / "reports").glob("*.bin")] \
+                == [first["address"]]
+            status, second = post(srv, "/v1/analyze", body)
+            assert status == 200 and second["cache"] == "l3"
+            assert second["report"] == first["report"]
+            assert srv.l3_front_hits == 1
+            assert server_puts == []
+            assert reports.disk_hits == 0 and reports.store.hits == 0
         configure_trace_cache(None)
 
     def test_cache_mb_caps_the_workers_stores(self, tmp_path):

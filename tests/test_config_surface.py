@@ -67,6 +67,24 @@ def test_the_ladder_has_two_launching_rungs():
                                             "functional-only"}
 
 
+def test_one_file_holds_an_lru_and_the_cache_counters():
+    """Every cache is a ``repro.cache.TieredCache`` instance: nothing
+    else under ``src/repro`` evicts by hand or declares a cache series."""
+    src = REPO / "src" / "repro"
+    for needle in ("OrderedDict", "popitem", "gpuscout_cache_hits_total",
+                   "class FileStore"):
+        holders = {str(path.relative_to(src)) for path in src.rglob("*.py")
+                   if needle in path.read_text()}
+        assert holders == {"cache.py"}, needle
+
+
+def test_the_serve_tiers_import_nothing_from_the_simulator():
+    text = (REPO / "src" / "repro" / "serve" / "cache.py").read_text()
+    assert "repro.gpu" not in text
+    assert re.findall(r"^(?:from|import) (repro[\w.]*)", text, re.M) == \
+        ["repro.cache"]
+
+
 def test_the_oracle_stays_out_of_the_product():
     src = REPO / "src" / "repro"
     mentions = {

@@ -5,10 +5,10 @@ L3 report cache (no member recomputed).
 
 ``GET /metrics`` is scraped after each pass: the exposition must parse
 (structural validator, same one ``tools/validate_metrics.py`` wraps),
-cover every required family (request latency, all three cache tiers,
-pool health, engine stages), and show cache-hit counters moving on the
-warm pass — which proves worker-side counts merge through the snapshot
-protocol into the served exposition.
+cover every required family (request latency, all five cache
+instances, pool health, engine stages), and show cache-hit counters
+moving on the warm pass — which proves worker-side counts merge
+through the snapshot protocol into the served exposition.
 
 Exits non-zero on any protocol error, batch failure, cache miss on the
 second pass, served/recomputed report divergence, or telemetry gap.
@@ -50,6 +50,10 @@ REQUIRED_FAMILIES = (
     "gpuscout_pool_respawns_total",
     "gpuscout_engine_stage_seconds",
 )
+
+
+#: the ``tier=`` label of every ``repro.cache.TieredCache`` instance
+CACHE_TIERS = ("resolve", "l1", "l2", "l3", "memo")
 
 
 def _post(url: str, path: str, body: dict) -> dict:
@@ -103,12 +107,13 @@ def main() -> int:
                 if f"# TYPE {family} " not in scrape1:
                     failures.append(
                         f"scrape 1 missing family {family}")
-            tiers = [t for t in ("l1", "l2", "l3")
+            tiers = [t for t in CACHE_TIERS
                      if f'gpuscout_cache_hits_total{{tier="{t}"}}'
                      in scrape1]
-            if len(tiers) != 3:
+            if len(tiers) != len(CACHE_TIERS):
                 failures.append(
-                    f"scrape 1 covers cache tiers {tiers}, want all 3")
+                    f"scrape 1 covers cache tiers {tiers}, "
+                    f"want {CACHE_TIERS}")
 
             second = _post(srv.url, "/v1/batch", BATCH)
             if not second.get("ok"):
