@@ -20,130 +20,14 @@ import argparse
 import signal
 import sys
 
-# nothing else at module level: every handler imports what it runs, so
+# nothing heavier at module level (the catalog is a table of names: no
+# kernel family, no numpy): every handler imports what it runs, so
 # ``--help`` costs argparse and a shell one-shot loads one kernel
 # family and no report format it does not write (DESIGN "Start-up")
-from repro.errors import (
-    AnalysisError,
-    CompileError,
-    LaunchError,
-    ReproError,
-    SassSyntaxError,
-    SimulationError,
-)
+from repro.errors import ReproError, exit_code_for
+from repro.kernels.catalog import CATALOG, resolve_kernel
 
 __all__ = ["main", "build_parser", "exit_code_for", "resolve_kernel"]
-
-#: BSD-style sysexits mapping: scripts branch on *what* failed.  Order
-#: matters only in that subclasses (e.g. SimulationTimeout) match their
-#: closest listed ancestor.
-EXIT_INTERNAL = 70  # EX_SOFTWARE
-_EXIT_CODES: list[tuple[type, int]] = [
-    (SassSyntaxError, 2),
-    (CompileError, 3),
-    (LaunchError, 4),
-    (SimulationError, 5),
-    (AnalysisError, 6),
-]
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Process exit code for an exception escaping the CLI: 2-6 for
-    the :class:`~repro.errors.ReproError` stages (parse, compile,
-    launch, simulation, analysis), 70 (EX_SOFTWARE) for anything
-    unexpected."""
-    for cls, code in _EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return EXIT_INTERNAL
-
-
-def _kernel_catalog() -> dict[str, str]:
-    """Built-in kernel specs and their descriptions."""
-    out = {}
-    for dtype in ("sp", "dp", "int"):
-        for var in ("naive", "vec"):
-            out[f"mixbench:{dtype}:{var}"] = (
-                f"mixbench benchmark_func, {dtype} {var}"
-            )
-    for var in ("naive", "restrict", "texture"):
-        out[f"heat:{var}"] = f"2D Jacobi heat step, {var}"
-    for var in ("naive", "shared", "shared_vec"):
-        out[f"sgemm:{var}"] = f"SGEMM, {var}"
-    for var in ("global", "shared"):
-        out[f"histogram:{var}"] = f"histogram, {var} atomics"
-    for var in ("atomic", "shared", "warp"):
-        out[f"reduction:{var}"] = f"sum reduction, {var}"
-    return out
-
-
-def resolve_kernel(spec: str, size: int, compute_iterations: int = 8):
-    """Build (compiled kernel, launch config, args, textures) for a
-    built-in kernel spec like ``sgemm:shared`` or ``mixbench:sp:vec``."""
-    from repro.gpu.config import LaunchConfig
-
-    parts = spec.split(":")
-    family = parts[0]
-    if family == "mixbench":
-        from repro.kernels.mixbench import build_mixbench, mixbench_args
-
-        dtype = parts[1] if len(parts) > 1 else "sp"
-        vec = len(parts) > 2 and parts[2] == "vec"
-        granularity = 8
-        n_threads = max(size, 256)
-        ck = build_mixbench(dtype, granularity, vectorized=vec)
-        args = mixbench_args(n_threads, granularity, dtype)
-        args["compute_iterations"] = compute_iterations
-        config = LaunchConfig(grid=(n_threads // 256, 1), block=(256, 1))
-        return ck, config, args, {}
-    if family == "heat":
-        from repro.kernels.heat import build_heat, heat_args
-
-        variant = parts[1] if len(parts) > 1 else "naive"
-        w = h = max(size, 64)
-        ck = build_heat(variant)
-        args, t0 = heat_args(w, h, variant=variant)
-        textures = {"t_tex": t0.reshape(h, w)} if variant == "texture" else {}
-        config = LaunchConfig(grid=(-(-w // 16), -(-h // 16)), block=(16, 16))
-        return ck, config, args, textures
-    if family == "sgemm":
-        from repro.kernels.sgemm import (
-            TILE,
-            build_sgemm,
-            sgemm_args,
-            sgemm_launch,
-        )
-
-        variant = parts[1] if len(parts) > 1 else "naive"
-        n = max(size - size % TILE, 2 * TILE)
-        ck = build_sgemm(variant)
-        args = sgemm_args(n, n, n)
-        return ck, sgemm_launch(variant, n, n), args, {}
-    if family == "histogram":
-        from repro.kernels.histogram import (
-            build_histogram,
-            histogram_args,
-            histogram_launch,
-        )
-
-        variant = parts[1] if len(parts) > 1 else "global"
-        n_threads = max(size - size % 256, 256)
-        ck = build_histogram(variant)
-        args = histogram_args(n_threads, skew=0.5)
-        return ck, histogram_launch(n_threads), args, {}
-    if family == "reduction":
-        from repro.kernels.reduction import (
-            BLOCK,
-            build_reduction,
-            reduction_args,
-            reduction_launch,
-        )
-
-        variant = parts[1] if len(parts) > 1 else "shared"
-        n = max(size - size % BLOCK, 4 * BLOCK)
-        ck = build_reduction(variant)
-        return ck, reduction_launch(n), reduction_args(n), {}
-    raise SystemExit(f"unknown kernel family {family!r}; try list-kernels")
 
 
 def _positive_int(text: str) -> int:
@@ -348,7 +232,7 @@ def _print_health(report) -> None:
 def _main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-kernels":
-        for name, desc in sorted(_kernel_catalog().items()):
+        for name, desc in sorted(CATALOG.items()):
             print(f"{name:<24s} {desc}")
         return 0
     if args.command == "disasm":

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.errors import ResourceLimitError
 from repro.gpu.budget import SimBudget
 from repro.gpu.config import GPUSpec
+from repro.kernels.catalog import CATALOG, resolve_kernel
 
 __all__ = [
     "AccessCheck",
@@ -39,16 +40,8 @@ __all__ = [
     "render_validations",
 ]
 
-#: every built-in kernel spec (kept in sync with the CLI catalog)
-ALL_KERNELS = [
-    "mixbench:sp:naive", "mixbench:sp:vec",
-    "mixbench:dp:naive", "mixbench:dp:vec",
-    "mixbench:int:naive", "mixbench:int:vec",
-    "heat:naive", "heat:restrict", "heat:texture",
-    "sgemm:naive", "sgemm:shared", "sgemm:shared_vec",
-    "histogram:global", "histogram:shared",
-    "reduction:atomic", "reduction:shared", "reduction:warp",
-]
+#: every built-in kernel spec, in catalog order
+ALL_KERNELS = list(CATALOG)
 
 #: fast subset for CI smoke runs: covers global sectors (mixbench),
 #: shared banks + predicated guards (histogram), and loops (reduction)
@@ -248,8 +241,6 @@ def validate_kernel(
     A :class:`~repro.gpu.budget.SimBudget` bounds the launch; when it
     trips, the kernel is reported with ``error`` set instead of
     raising, so suite runs under ``--deadline`` finish cleanly."""
-    # imported lazily: repro.cli imports repro.core
-    from repro.cli import resolve_kernel
     from repro.gpu.simulator import Simulator
     from repro.sass.affine import AffineAnalysis, AffineEnv, MemoryPredictor
     from repro.sass.cfg import build_cfg

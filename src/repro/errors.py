@@ -32,6 +32,8 @@ __all__ = [
     "SimulationTimeout",
     "MetricError",
     "AnalysisError",
+    "UnknownKernelError",
+    "exit_code_for",
 ]
 
 
@@ -180,3 +182,33 @@ class MetricError(ReproError):
 
 class AnalysisError(ReproError):
     """Raised when a bottleneck analysis cannot run on a program."""
+
+
+class UnknownKernelError(ReproError):
+    """Raised by :mod:`repro.kernels.catalog` for a spec that names no
+    built-in kernel; the message lists the ones that exist.  A usage
+    error on both surfaces: CLI exit 2, served ``code 64`` / HTTP 400."""
+
+
+#: BSD-style sysexits mapping: scripts branch on *what* failed.  Order
+#: matters only in that subclasses (e.g. SimulationTimeout) match their
+#: closest listed ancestor.
+EXIT_INTERNAL = 70  # EX_SOFTWARE
+_EXIT_CODES: list[tuple[type, int]] = [
+    (SassSyntaxError, 2),
+    (UnknownKernelError, 2),
+    (CompileError, 3),
+    (LaunchError, 4),
+    (SimulationError, 5),
+    (AnalysisError, 6),
+]
+
+
+def exit_code_for(exc: BaseException) -> int:
+    """Process exit code for an exception escaping the CLI: 2-6 for
+    the :class:`ReproError` stages (parse or usage, compile, launch,
+    simulation, analysis), 70 (EX_SOFTWARE) for anything unexpected."""
+    for cls, code in _EXIT_CODES:
+        if isinstance(exc, cls):
+            return code
+    return EXIT_INTERNAL

@@ -15,6 +15,9 @@ compares, plus host-side helpers (argument staging, NumPy references):
 * :mod:`repro.kernels.reduction` — extension ladder: atomic -> shared
   tree -> warp shuffle.
 
+:mod:`repro.kernels.catalog` names them all (``sgemm:shared``,
+``mixbench:sp:vec``, ...), keeps one compiled program per variant per
+process and stages launch inputs per request.
 ``repro.kernels.calibration`` holds the per-case-study simulator specs
 used by the benchmark harness.
 """
@@ -32,6 +35,7 @@ _EXPORTS = {
     "histogram_reference": ("repro.kernels.histogram", "histogram_reference"),
     "build_reduction": ("repro.kernels.reduction", "build_reduction"),
     "reduction_reference": ("repro.kernels.reduction", "reduction_reference"),
+    "resolve_kernel": ("repro.kernels.catalog", "resolve_kernel"),
 }
 
 __all__ = list(_EXPORTS)

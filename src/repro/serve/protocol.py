@@ -26,6 +26,8 @@ the client can fix, 5xx for server-side failures).
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
@@ -168,10 +170,18 @@ def _canon(value):
     return value
 
 
+@functools.lru_cache(maxsize=16)
+def _arch_term(spec: GPUSpec) -> dict:
+    """:func:`spec_fingerprint`, computed once per (frozen, hashable)
+    spec and shared: ``asdict`` over ~60 fields was most of a
+    ``request_key``.  Read-only — every address is built from it."""
+    return _canon(asdict(spec))
+
+
 def spec_fingerprint(spec: GPUSpec) -> dict:
     """Every field of the arch config — a renamed *or* retuned spec
-    yields a different fingerprint."""
-    return _canon(asdict(spec))
+    yields a different fingerprint.  The caller's own copy."""
+    return copy.deepcopy(_arch_term(spec))
 
 
 def launch_fingerprint(config, params: Optional[dict] = None) -> dict:
@@ -190,7 +200,7 @@ def _report_address(payload: dict, spec: GPUSpec) -> str:
     bumping the schema invalidates every cached report at once."""
     from repro.core.jsonout import SCHEMA_VERSION
 
-    payload = dict(payload, arch=spec_fingerprint(spec),
+    payload = dict(payload, arch=_arch_term(spec),
                    schema=SCHEMA_VERSION)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

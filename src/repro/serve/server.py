@@ -451,24 +451,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: dict,
               request_id: Optional[str] = None) -> None:
-        blob = json.dumps(body, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(blob)
+        self._respond(status, json.dumps(body, sort_keys=True).encode(),
+                      "application/json", request_id)
 
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; version=0.0.4; "
-                                       "charset=utf-8") -> None:
-        blob = text.encode()
+    def _send_text(self, status: int, text: str) -> None:
+        self._respond(status, text.encode(),
+                      "text/plain; version=0.0.4; charset=utf-8")
+
+    def _respond(self, status: int, blob: bytes, content_type: str,
+                 request_id: Optional[str] = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+        if request_id is not None:
+            self.send_header("X-Request-Id", request_id)
+        # not end_headers(): it flushes the headers as one segment and
+        # the body would follow as a second, which a keep-alive client
+        # waits ~40 ms for (Nagle holds it for the delayed ACK)
+        self._headers_buffer += [b"\r\n", blob]
+        self.flush_headers()
 
     def _read_json(self):
         length = int(self.headers.get("Content-Length") or 0)

@@ -76,6 +76,18 @@ def make_simulator(fast: bool, spec=None) -> Simulator:
 
 
 @pytest.fixture
+def fresh_programs(monkeypatch):
+    """An empty catalog program table for one test (the process's own
+    is back afterwards): ``resolve_kernel`` compiles again, and
+    ``program_stats()`` counts from zero."""
+    from repro.kernels import catalog
+
+    monkeypatch.setattr(catalog, "_programs", {})
+    monkeypatch.setattr(catalog, "_compiles", 0)
+    return catalog
+
+
+@pytest.fixture
 def stage_memory_calls(monkeypatch):
     """Spy on ``Simulator._stage_memory``: grows by one per
     ``sim.launch`` the degradation ladder attempted (call counts, not

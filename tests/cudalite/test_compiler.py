@@ -383,12 +383,12 @@ class TestRenderings:
         assert swapped.ptx_text == second.ptx_text != first.ptx_text
         assert (first.sass_text, first.ptx_text, first.sass_sha256) == want
 
-    def test_one_lowering_per_compile(self, monkeypatch):
+    def test_one_lowering_per_compile(self, monkeypatch, fresh_programs):
         """``ptx_text`` renders the stream ``compile_kernel`` lowered
         and is what ``kernel_to_ptx`` returns for the same kernel; a
         ``replace`` copy drops the stream and lowers for itself."""
-        from repro.cli import _kernel_catalog, resolve_kernel
         from repro.cudalite import compiler
+        from repro.kernels.catalog import CATALOG, resolve_kernel
         from repro.ptx import writer as ptx_writer
 
         lowered = []
@@ -400,7 +400,7 @@ class TestRenderings:
 
         monkeypatch.setattr(compiler, "lower_kernel", spy)
         monkeypatch.setattr(ptx_writer, "lower_kernel", spy)
-        specs = sorted(_kernel_catalog())
+        specs = sorted(CATALOG)
         assert len(specs) == 17
         for spec in specs:
             del lowered[:]

@@ -19,9 +19,6 @@ def cache():
 
 
 def _resolve(spec="sgemm:naive", size=64):
-    # the cache keys program identity by object (``id(compiled)`` plus a
-    # strong ref), so warm-replay tests must reuse one resolved kernel —
-    # exactly how benchmark repeats and what-if reruns behave
     return resolve_kernel(spec, size, 4)
 
 
@@ -33,6 +30,22 @@ def _launch(resolved, **kw):
 
 
 class TestWarmReplay:
+    def test_two_resolutions_of_one_spec_share_the_memory_tier(
+            self, cache):
+        """The cache keys program identity by object (``id(compiled)``
+        plus a strong ref); the catalog hands every resolution of a
+        variant the same program, so a second ``resolve_kernel`` — a
+        second request, a what-if rerun — replays from memory with no
+        disk tier attached."""
+        assert cache.store is None
+        first = _launch(_resolve())
+        assert cache.hits == 0 and cache.misses > 0
+        misses = cache.misses
+        second = _launch(_resolve())
+        assert cache.hits > 0 and cache.misses == misses
+        assert first.cycles == second.cycles
+        assert first.counters == second.counters
+
     def test_repeat_launch_hits_cache(self, cache):
         rk = _resolve()
         first = _launch(rk)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _kernel_catalog, resolve_kernel
+from repro.kernels.catalog import CATALOG, resolve_kernel
 from repro.sass import build_cfg
 from repro.sass.affine import AffineAnalysis, AffineEnv
 
-SPECS = sorted(_kernel_catalog())
+SPECS = sorted(CATALOG)
 
 
 def _replay_state(aff, index):

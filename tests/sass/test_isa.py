@@ -262,7 +262,7 @@ class TestDefUseMemo:
         assert format_program(fresh) == format_program(queried)
 
     def test_warm_analyze_derives_each_instruction_at_most_once(
-            self, monkeypatch):
+            self, monkeypatch, fresh_programs):
         from repro.cli import resolve_kernel
         from repro.core import GPUscout
 

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.cli import _kernel_catalog, resolve_kernel
+from repro.kernels.catalog import CATALOG, resolve_kernel
 from repro.gpu.coalesce import coalesce_sectors, shared_transactions
 from repro.gpu.config import GPUSpec
 from repro.gpu.simulator import LaunchConfig, Simulator
@@ -28,7 +28,7 @@ from repro.sass.affine import (
     pred_proof,
 )
 
-SPECS = sorted(_kernel_catalog())
+SPECS = sorted(CATALOG)
 
 
 class ScalarPredictor:

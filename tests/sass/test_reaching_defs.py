@@ -3,7 +3,7 @@ self-loops, unreachable blocks — the shapes the blame slicer leans on."""
 
 import pytest
 
-from repro.cli import _kernel_catalog, resolve_kernel
+from repro.kernels.catalog import CATALOG, resolve_kernel
 from repro.sass import parse_sass
 from repro.sass.affine import _LIVE_IN, ReachingDefinitions
 from repro.sass.cfg import build_cfg
@@ -154,7 +154,7 @@ def _rescan(rd, reg, index, at):
     return tuple(sorted(rd._in[blk.bid].get(key, _LIVE_IN)))
 
 
-@pytest.mark.parametrize("spec", sorted(_kernel_catalog()))
+@pytest.mark.parametrize("spec", sorted(CATALOG))
 def test_queries_by_index_equal_block_rescan(spec):
     program = resolve_kernel(spec, 128, 8)[0].program
     rd = ReachingDefinitions(program, build_cfg(program))

@@ -18,6 +18,7 @@ from repro.serve.protocol import (
     arch_spec,
     content_address,
     http_status_for,
+    request_key,
     spec_fingerprint,
     strip_volatile,
 )
@@ -131,6 +132,95 @@ class TestContentAddressSensitivity:
 
         monkeypatch.setattr(jo, "SCHEMA_VERSION", jo.SCHEMA_VERSION + 1)
         assert addr() != before
+
+
+#: (submission, first 16 hex digits of its request key and of its
+#: content address) as computed at PR 22, before the arch term was
+#: memoised.  The recipe did not change; when one does on purpose (or
+#: the schema version is bumped) these are recomputed, not patched.
+PINNED_ADDRESSES = [
+    ({"kernel": "sgemm:naive", "size": 96},
+     "0a78a71751ef9766", "c390a1a39bd903ab"),
+    ({"kernel": "sgemm:shared_vec", "size": 256, "max_blocks": 16},
+     "fa9743af6eb5d5a3", "ba72ecabe53b9c64"),
+    ({"kernel": "heat:texture", "size": 96, "arch": "small"},
+     "4ed1ecd03c6f84ff", "f0330ec37c44cef3"),
+    ({"kernel": "heat:naive", "size": 64, "dry_run": True},
+     "2b00406a7f1f5e34", "827e816e44668d69"),
+    ({"kernel": "histogram:global", "size": 4096},
+     "5fde8b298bce7ac4", "1437ba7803adc5b3"),
+    ({"kernel": "histogram:shared", "size": 1024, "extended": True},
+     "5223b1a109060249", "7784fee222ef83e1"),
+    ({"kernel": "mixbench:sp:naive", "size": 2048,
+      "compute_iterations": 4},
+     "3e12c4b67bcd2370", "8325af5974a1fccf"),
+    ({"kernel": "mixbench:dp:vec", "size": 512, "arch": "small4"},
+     "f30ca5ce34d4ac84", "fc6566f4ff8d83b2"),
+    ({"kernel": "reduction:warp", "size": 512, "max_blocks": 4},
+     "91d39a12789c9612", "3d3d824080bf271e"),
+    ({"kernel": "reduction", "size": 1024},
+     "77e84bdbd2e82419", "855eac818d6802dd"),
+]
+
+
+class TestArchTermIsComputedOncePerSpec:
+    @pytest.mark.parametrize("payload, key, address", PINNED_ADDRESSES,
+                             ids=[p["kernel"] for p, _, _ in
+                                  PINNED_ADDRESSES])
+    def test_addresses_are_the_parents(self, payload, key, address):
+        from repro.kernels.catalog import resolve_kernel
+
+        req = AnalyzeRequest.from_dict(payload)
+        ck, config, _, _ = resolve_kernel(req.kernel, req.size,
+                                          req.compute_iterations)
+        for _ in range(2):  # computed, then answered from the memo
+            assert request_key(req)[:16] == key
+            assert content_address(
+                ck, config,
+                params={"spec": req.kernel, "size": req.size,
+                        "iters": req.compute_iterations,
+                        "max_blocks": req.max_blocks},
+                spec=arch_spec(req.arch),
+                extras={"dry_run": req.dry_run,
+                        "extended": req.extended},
+            )[:16] == address
+
+    def test_one_asdict_per_spec(self, monkeypatch):
+        from repro.serve import protocol
+
+        walked = []
+        monkeypatch.setattr(
+            protocol, "asdict",
+            lambda obj: (walked.append(type(obj).__name__),
+                         dataclasses.asdict(obj))[1])
+        spec = dataclasses.replace(SPEC, name="walked-once")
+        first = addr(spec=spec)
+        assert addr(spec=dataclasses.replace(SPEC, name="walked-once")) \
+            == first
+        assert walked == ["GPUSpec"]
+
+    def test_every_field_still_changes_the_fingerprint(self):
+        base = spec_fingerprint(SPEC)
+        for field in dataclasses.fields(GPUSpec):
+            value = getattr(SPEC, field.name)
+            if isinstance(value, str):
+                changed = value + "'"
+            elif isinstance(value, (int, float)):
+                changed = value + 1
+            else:  # the nested occupancy limits
+                changed = dataclasses.replace(
+                    value, **{dataclasses.fields(value)[0].name: 7})
+            mutated = dataclasses.replace(SPEC, **{field.name: changed})
+            assert spec_fingerprint(mutated) != base, field.name
+            assert addr(spec=mutated) != addr(), field.name
+
+    def test_callers_get_their_own_copy(self):
+        before = addr()
+        mine = spec_fingerprint(SPEC)
+        mine["num_sms"] = -1
+        mine["limits"].clear()
+        assert spec_fingerprint(SPEC) != mine
+        assert addr() == before
 
 
 class TestStripVolatile:

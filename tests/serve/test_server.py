@@ -148,6 +148,8 @@ class TestEndpoints:
         assert status == 200
         assert stats["requests"] >= 1
         assert "runner" in stats and "static" in stats["runner"]
+        programs = stats["runner"]["programs"]
+        assert 1 <= programs["entries"] == programs["compiles"] <= 17
 
     def test_identical_concurrent_requests_coalesce(self, server):
         from concurrent.futures import ThreadPoolExecutor
@@ -245,3 +247,61 @@ class TestPooledServer:
                     ever.update(now)
         for tier, ever in written.items():
             assert sum(ever.values()) > cap, f"{tier}: cap never binding"
+
+
+@pytest.mark.parametrize("spec", ["heat:bogus", "mixbench:sp:turbo",
+                                  "nope:x"])
+def test_misspelt_kernel_spec_is_400_not_500(server, spec):
+    status, body = post(server, "/v1/analyze", {"kernel": spec})
+    assert status == 400 and body["code"] == EXIT_USAGE
+    assert body["error"] == "UnknownKernelError"
+    assert "mixbench:sp:naive" in body["message"]
+
+
+def test_one_write_per_response(server, monkeypatch):
+    """Headers and body leave in one segment: flushed apart, a
+    keep-alive client waits out Nagle + delayed ACK (~40 ms) for the
+    body of a 0.25 ms answer."""
+    from repro.serve.server import _Handler
+
+    writes = []
+
+    class Recording:
+        def __init__(self, raw):
+            self.raw = raw
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.raw.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.raw, name)
+
+    real_setup = _Handler.setup
+
+    def setup(handler):
+        real_setup(handler)
+        handler.wfile = Recording(handler.wfile)
+
+    monkeypatch.setattr(_Handler, "setup", setup)
+    with urllib.request.urlopen(server.url + "/metrics", timeout=30) as resp:
+        exchanges = [(resp.status, resp.read())]
+    for status, body in (
+        get(server, "/healthz"),
+        post(server, "/v1/analyze", {"kernel": KERNEL, "size": 128}),
+        post(server, "/v1/analyze", b"{not json"),
+        post(server, "/v1/analyze", {"kernel": "nope:x"}),
+        get(server, "/nope"),
+    ):
+        exchanges.append((status, body))
+    assert [status for status, _ in exchanges] == \
+        [200, 200, 200, 400, 400, 404]
+    assert len(writes) == len(exchanges)
+    for (status, body), sent in zip(exchanges, writes):
+        head, _, payload = sent.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Content-Length: %d" % len(payload) in head
+        if isinstance(body, bytes):
+            assert payload == body
+        else:
+            assert json.loads(payload) == body

@@ -14,6 +14,7 @@ from repro.errors import (
     LaunchError,
     SassSyntaxError,
     SimulationError,
+    UnknownKernelError,
 )
 from repro.gpu.trace_cache import configure_trace_cache
 from repro.serve.protocol import EXIT_USAGE, ProtocolError, strip_volatile
@@ -104,9 +105,9 @@ class TestRequestOptions:
         assert b["cache"] == "l1", "same program+geometry must reuse L1"
 
     def test_l1_key_and_guard_name_the_same_inputs(self, monkeypatch):
-        """Two sizes that compile to the same SASS under the same
-        geometry are distinct compiled objects: the second is an L1 hit
-        the engine accepts, and a hit the engine refuses says cold."""
+        """Two sizes under the same geometry run one program: the
+        second is an L1 hit the engine accepts, and a hit the engine
+        refuses says cold."""
         from repro.core.engine import GPUscout, StaticArtifacts
 
         static_runs = []
@@ -167,7 +168,7 @@ class TestErrorMapping:
         (SimulationError("x"), 5),
         (AnalysisError("x"), 6),
         (ProtocolError("x"), EXIT_USAGE),
-        (SystemExit("unknown kernel family"), EXIT_USAGE),
+        (UnknownKernelError("unknown kernel spec"), EXIT_USAGE),
         (RuntimeError("x"), 70),
     ])
     def test_stage_codes(self, exc, code):
@@ -179,6 +180,14 @@ class TestErrorMapping:
         env = KernelRunner().run({"kernel": "bogus:thing"})
         assert env["ok"] is False and env["code"] == EXIT_USAGE
 
+    @pytest.mark.parametrize("spec", [
+        "heat:bogus", "mixbench:sp:turbo", "nope:x"])
+    def test_misspelt_spec_is_usage_and_names_the_catalog(self, spec):
+        env = KernelRunner().run({"kernel": spec})
+        assert env["ok"] is False and env["code"] == EXIT_USAGE
+        assert env["error"] == "UnknownKernelError"
+        assert "heat:texture" in env["message"]
+
     def test_malformed_submission_is_usage(self):
         env = KernelRunner().run({"kernel": KERNEL, "sass": "both"})
         assert env["code"] == EXIT_USAGE
@@ -187,3 +196,78 @@ class TestErrorMapping:
         env = KernelRunner().run(None)
         assert env["ok"] is False and env["code"] == EXIT_USAGE
         assert "elapsed_s" in env
+
+
+class TestOneCompilePerVariant:
+    """A miss pays for its size, not for its program: the seed-1
+    ``serve_miss`` request mix (six variants, ten sizes each, two
+    ``max_blocks`` phases) through one in-process runner."""
+
+    FAMILIES = ("heat", "histogram", "mixbench", "reduction")
+
+    @staticmethod
+    def requests():
+        from benchmarks.e2e import gen, proc
+
+        ops = gen.workload_pass(1, "serve_miss", 0)
+        assert len(ops) == 120 and len({o["kernel"] for o in ops}) == 6
+        return [proc.request_body(o) for o in ops]
+
+    def test_six_compiles_not_sixty_and_the_same_reports(
+            self, monkeypatch, fresh_programs):
+        import importlib
+
+        from repro.cudalite import compile_kernel
+        from repro.kernels.heat import build_heat
+        from repro.kernels.histogram import build_histogram
+        from repro.kernels.mixbench import build_mixbench
+        from repro.kernels.reduction import build_reduction
+        from repro.serve import service
+
+        compiles = []
+
+        def spy(kernel, **kwargs):
+            compiles.append(kernel.name)
+            return compile_kernel(kernel, **kwargs)
+
+        for family in self.FAMILIES:
+            monkeypatch.setattr(
+                importlib.import_module(f"repro.kernels.{family}"),
+                "compile_kernel", spy)
+        requests = self.requests()
+        shared = KernelRunner()
+        served = [shared.run(dict(r)) for r in requests]
+        assert len(compiles) == 6 and len(set(compiles)) == 6
+        assert shared.stats()["programs"] == {"entries": 6, "compiles": 6}
+        assert shared.stats()["resolve"]["entries"] == 60
+        outcomes = [env["cache"] for env in served]
+        assert (outcomes.count("cold"), outcomes.count("l1")) == (48, 72)
+
+        # a second runner in the same process compiles nothing
+        again = KernelRunner().run(dict(requests[0]))
+        assert again["ok"] and len(compiles) == 6
+
+        # the reference: every resolution gets a private program, built
+        # by the family's own ``build_*`` as before the catalog memo
+        build = {
+            "histogram:global": lambda: build_histogram("global"),
+            "histogram:shared": lambda: build_histogram("shared"),
+            "mixbench:sp:naive": lambda: build_mixbench("sp", 8),
+            "reduction:warp": lambda: build_reduction("warp"),
+            "heat:naive": lambda: build_heat("naive"),
+            "heat:texture": lambda: build_heat("texture"),
+        }
+        monkeypatch.setattr(
+            service, "resolve_kernel",
+            lambda spec, size, iters=8: (
+                build[spec](),
+                *fresh_programs.launch_inputs(spec, size, iters)))
+        private = KernelRunner()
+        for request, env in zip(requests, served):
+            want = private.run(dict(request))
+            assert env["ok"] and want["ok"], request
+            assert (env["cache"], env["address"]) == \
+                (want["cache"], want["address"]), request
+            assert strip_volatile(env["report"]) == \
+                strip_volatile(want["report"]), request
+        assert len(compiles) == 6 + 60

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main, resolve_kernel
+from repro.errors import UnknownKernelError
+
+#: an unknown variant, a third part that used to mean "naive", and an
+#: unknown family: one error, not ValueError / a silent default / SystemExit
+MISSPELT = ["heat:bogus", "mixbench:sp:turbo", "nope:x"]
 
 
 class TestParser:
@@ -54,8 +59,24 @@ class TestResolveKernel:
         assert args
 
     def test_unknown_family(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UnknownKernelError, match="sgemm:shared_vec"):
             resolve_kernel("quantum:naive", 64)
+
+    @pytest.mark.parametrize("spec", MISSPELT)
+    def test_misspelt_spec_is_a_usage_error(self, spec, capsys):
+        # exit 2 like ``--size 0``; the served API answers these 400
+        assert main(["analyze", "--kernel", spec, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown kernel spec {spec!r}" in err
+        assert "mixbench:sp:vec" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("family, default", [
+        ("mixbench", "mixbench:sp:naive"), ("heat", "heat:naive"),
+        ("sgemm", "sgemm:naive"), ("histogram", "histogram:global"),
+        ("reduction", "reduction:shared"),
+    ])
+    def test_bare_family_is_its_default_variant(self, family, default):
+        assert resolve_kernel(family, 64)[0] is resolve_kernel(default, 64)[0]
 
 
 class TestMain:
@@ -145,8 +166,9 @@ class TestValidate:
 
 class TestExitCodes:
     def test_mapping(self):
-        from repro.cli import EXIT_INTERNAL, exit_code_for
+        from repro.cli import exit_code_for
         from repro.errors import (
+            EXIT_INTERNAL,
             AnalysisError,
             CompileError,
             LaunchError,

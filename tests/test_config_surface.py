@@ -85,6 +85,21 @@ def test_the_serve_tiers_import_nothing_from_the_simulator():
         ["repro.cache"]
 
 
+def test_nothing_below_the_cli_imports_it():
+    """The kernel catalog lives in ``repro.kernels`` and the exit codes
+    in ``repro.errors``: the serving layer and the core reach down for
+    them, never up into the argparse module."""
+    src = REPO / "src" / "repro"
+    importers = {
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if re.search(r"from repro\.cli import|import repro\.cli",
+                     path.read_text())
+    }
+    assert importers <= {"cli.py"}
+    for path in (src / "serve").glob("*.py"):
+        assert "SystemExit" not in path.read_text(), path.name
+
+
 def test_the_oracle_stays_out_of_the_product():
     src = REPO / "src" / "repro"
     mentions = {

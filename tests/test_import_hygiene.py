@@ -50,6 +50,10 @@ def under(modules: set, prefix: str) -> set:
     return {m for m in modules if m == prefix or m.startswith(prefix + ".")}
 
 
+#: what ``import repro.cli`` loads of ``repro.kernels``: the table of
+#: spec names, never a kernel family
+CATALOG = {"repro.kernels", "repro.kernels.catalog"}
+
 SIMULATOR = {"repro.gpu.simulator", "repro.gpu.scheduler", "repro.gpu.batch",
              "repro.gpu.timed_trace", "repro.gpu.trace_cache", "repro.cache"}
 
@@ -59,7 +63,8 @@ class TestSubcommandsLoadWhatTheyRun:
         out = fresh("import repro.cli, sys, json; "
                     "print(json.dumps(sorted(sys.modules)))")
         ours = under(set(out), "repro")
-        assert ours == {"repro", "repro._lazy", "repro.cli", "repro.errors"}
+        assert ours == {"repro", "repro._lazy", "repro.cli",
+                        "repro.errors"} | CATALOG
         assert len(ours) <= 12
         assert "numpy" not in out
 
@@ -72,6 +77,7 @@ class TestSubcommandsLoadWhatTheyRun:
         assert "numpy" not in mods
         assert under(mods, "repro.gpu") <= {"repro.gpu", "repro.gpu.stalls"}
         assert not under(mods, "repro.core")
+        assert under(mods, "repro.kernels") == CATALOG
 
     def test_dry_run_loads_no_simulator(self, tmp_path):
         sass = tmp_path / "k.sass"
@@ -87,16 +93,16 @@ class TestSubcommandsLoadWhatTheyRun:
             assert not mods & SIMULATOR, argv
             assert not under(mods, "repro.serve")
             assert not mods & {"repro.core.html_report", "repro.core.compare"}
-        # raw SASS needs no compiler and no kernel either
+        # raw SASS needs no compiler and no kernel family either
         assert not under(mods, "repro.cudalite")
-        assert not under(mods, "repro.kernels")
+        assert under(mods, "repro.kernels") == CATALOG
 
     def test_full_analyze_loads_one_family_and_one_report_format(self):
         mods = loaded_by("analyze", "--kernel", "heat:naive", "--size", "96",
                          "--json", "-")
         assert SIMULATOR <= mods
-        assert under(mods, "repro.kernels") == {"repro.kernels",
-                                                "repro.kernels.heat"}
+        assert under(mods, "repro.kernels") == CATALOG | {
+            "repro.kernels.heat"}
         assert not mods & {
             "repro.core.coalescing", "repro.core.divergence",
             "repro.core.html_report", "repro.core.compare",
@@ -104,8 +110,8 @@ class TestSubcommandsLoadWhatTheyRun:
             "repro.testing.reference",
         }
         assert not under(mods, "repro.serve")
-        # DESIGN records 314 before the lazy roots, 295 with them and
-        # 296 with ``repro.cache``
+        # DESIGN records 314 before the lazy roots, 295 with them,
+        # 296 with ``repro.cache`` and 297 with ``repro.kernels.catalog``
         assert len(mods) <= 300
 
     def test_extended_loads_the_two_extensions(self):
@@ -114,11 +120,12 @@ class TestSubcommandsLoadWhatTheyRun:
         assert {"repro.core.coalescing", "repro.core.divergence"} <= mods
 
 
-#: ``__all__`` of every PEP 562 root, as at the parent commit (minus
-#: ``repro.gpu``'s two ``microbench`` names, deleted with the module)
+#: ``__all__`` of every PEP 562 root, as at PR 21 (minus ``repro.gpu``'s
+#: two ``microbench`` names, deleted with the module; plus
+#: ``repro.kernels.resolve_kernel``, the catalog's entry point)
 ROOTS = {
     "repro": 10, "repro.core": 17, "repro.gpu": 11, "repro.obs": 21,
-    "repro.sass": 23, "repro.cudalite": 17, "repro.kernels": 10,
+    "repro.sass": 23, "repro.cudalite": 17, "repro.kernels": 11,
     "repro.metrics": 6, "repro.sampling": 5, "repro.ptx": 6,
     "repro.testing": 4,
 }
@@ -135,6 +142,7 @@ EXTENSION_ANALYSES = ["UncoalescedAccessAnalysis",
 HARNESS_NAMES = {
     "repro": ["GPUscout", "Simulator"],
     "repro.cli": ["resolve_kernel"],
+    "repro.kernels": ["resolve_kernel"],
     "repro.core": ["GPUscout", "report_to_json"],
     "repro.gpu": ["GPUSpec", "Simulator"],
     "repro.gpu.trace_cache": ["trace_cache", "FileStore"],
@@ -270,4 +278,4 @@ def test_forked_worker_inherits_the_engine_and_simulator():
     assert {"repro.gpu.simulator", "repro.core.engine",
             "repro.core.vectorize"} <= set(env["at_start"])
     ours = under(set(env["imported"]), "repro")
-    assert ours <= {"repro.kernels", "repro.kernels.heat"}, ours
+    assert ours <= {"repro.kernels.heat"}, ours

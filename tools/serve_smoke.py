@@ -10,8 +10,13 @@ instances, pool health, engine stages), and show cache-hit counters
 moving on the warm pass — which proves worker-side counts merge
 through the snapshot protocol into the served exposition.
 
+A second, inline server is then sent two sizes of one variant:
+``/v1/stats`` must show two resolutions sharing one compiled program
+(``runner.programs``: ``compiles == entries``, bounded by the catalog).
+
 Exits non-zero on any protocol error, batch failure, cache miss on the
-second pass, served/recomputed report divergence, or telemetry gap.
+second pass, served/recomputed report divergence, telemetry gap, or a
+program compiled more than once.
 
 Usage::
 
@@ -30,6 +35,7 @@ import urllib.request
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.kernels.catalog import CATALOG  # noqa: E402
 from repro.obs.metrics import validate_exposition  # noqa: E402
 from repro.serve import ScoutServer  # noqa: E402
 
@@ -151,6 +157,22 @@ def main() -> int:
                 failures.append(
                     f"expected >= {len(BATCH['requests'])} L3 hits, "
                     f"saw {hits} (stats: {stats})")
+        # inline, so the stats are those of the process that compiled
+        with ScoutServer(workers=0).start() as srv:
+            for size in (64, 96):
+                env = _post(srv.url, "/v1/analyze",
+                            {"kernel": "heat:naive", "size": size})
+                if not env.get("ok"):
+                    failures.append(f"heat:naive:{size} failed: {env}")
+            runner = json.loads(urllib.request.urlopen(
+                srv.url + "/v1/stats", timeout=30).read())["runner"]
+            programs = runner.get("programs", {})
+            if not (1 <= programs.get("entries", 0)
+                    == programs.get("compiles") <= len(CATALOG)) \
+                    or runner["resolve"]["entries"] != 2:
+                failures.append(
+                    "two sizes of one variant should be two resolutions "
+                    f"of one program compiled once: {runner}")
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -161,7 +183,8 @@ def main() -> int:
         return 1
     print(f"serve smoke OK: {n}-kernel batch cold then warm, "
           f"second pass all L3 hits; /metrics valid, all families "
-          f"present, cache-hit counters moved")
+          f"present, cache-hit counters moved; two sizes of one "
+          f"variant compiled one program")
     return 0
 
 
