@@ -85,8 +85,13 @@ class Logger:
     def __init__(self, name: str):
         self.name = name
 
+    def enabled(self, level: str) -> bool:
+        """Whether a record at ``level`` would be written — lets a hot
+        caller skip building fields nobody will read."""
+        return _mode != "off" and _LEVELS[level] >= _level
+
     def _emit(self, level: str, event: str, fields: dict) -> None:
-        if _mode == "off" or _LEVELS[level] < _level:
+        if not self.enabled(level):
             return
         stream = _stream or sys.stderr
         if _mode == "json":

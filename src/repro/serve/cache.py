@@ -10,10 +10,12 @@ and signatures the service and the harness drive them by.
   per-process: each service worker warms its own.
 * **L2 — effect traces** (``TraceCache``) lives next to the simulator
   that fills it (shared disk tier across workers).
-* **L3 — full reports** (:class:`ReportCache`): the schema-v4 report
-  JSON per full content address, memory-first with a disk tier behind
-  it.  A warm L3 hit is one dict lookup or one file read — no engine
-  involvement at all.
+* **L3 — full reports** (:class:`ReportCache`): per full content
+  address, the report as the text :func:`report_text` renders —
+  memory-first with a disk tier behind it.  That text is the entry, the
+  file payload and what ``/v1/analyze`` splices into its reply
+  (:meth:`ReportCache.text`), so a warm L3 hit is one dict lookup (or
+  one CRC-checked file read): no engine, no parse, no second dump.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 
 from repro.cache import FileStore, TieredCache
 
-__all__ = ["ReportCache", "StaticCache"]
+__all__ = ["ReportCache", "StaticCache", "report_text"]
 
 _MB = 1024 * 1024
 
@@ -38,7 +40,9 @@ class StaticCache(TieredCache):
         return super().get(key)[0]
 
 
-def _dumps(report: dict) -> str:
+def report_text(report: dict) -> str:
+    """The one serialised form of a report: what L3 stores and what a
+    served envelope carries under ``"report"``."""
     return json.dumps(report, sort_keys=True)
 
 
@@ -51,8 +55,10 @@ def _decode(payload: bytes) -> str:
 class ReportCache(TieredCache):
     """Memory + disk LRU of full report JSON, keyed by content address.
 
-    Entries are the serialised blobs, sized by length; ``get`` parses
-    a fresh dict per call, so callers may mutate what they receive.
+    Entries are :func:`report_text` blobs, sized by length.  ``text``
+    / ``remember_text`` move a blob as it is; ``get`` / ``put`` /
+    ``remember`` are the same operations for callers holding a dict
+    (``get`` parses a fresh one per call, so it may be mutated).
     """
 
     def __init__(self, directory=None, capacity: int = 256,
@@ -64,16 +70,23 @@ class ReportCache(TieredCache):
         super().__init__("l3", capacity, size=len, store=store,
                          encode=str.encode, decode=_decode)
 
-    def get(self, key: str) -> tuple[Optional[dict], bool]:
-        """``(report_dict | None, corrupted)`` — the flag is ``True``
+    def text(self, key: str) -> tuple[Optional[str], bool]:
+        """``(stored blob | None, corrupted)`` — the flag is ``True``
         when a disk entry existed but failed its integrity check and
         was discarded, so the caller can diagnose the forced
         recompute."""
-        blob, corrupted = super().get(key)
+        return super().get(key)
+
+    def get(self, key: str) -> tuple[Optional[dict], bool]:
+        """:meth:`text`, parsed."""
+        blob, corrupted = self.text(key)
         return (None if blob is None else json.loads(blob)), corrupted
 
     def put(self, key: str, report: dict) -> None:
-        super().put(key, _dumps(report))
+        super().put(key, report_text(report))
+
+    def remember_text(self, key: str, blob: str) -> None:
+        super().remember(key, blob)
 
     def remember(self, key: str, report: dict) -> None:
-        super().remember(key, _dumps(report))
+        self.remember_text(key, report_text(report))

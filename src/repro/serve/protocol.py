@@ -30,7 +30,7 @@ import copy
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 from repro.errors import ReproError
@@ -111,8 +111,7 @@ class AnalyzeRequest:
     def from_dict(cls, data: Any) -> "AnalyzeRequest":
         if not isinstance(data, dict):
             raise ProtocolError("submission must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - cls._TYPES.keys()
         if unknown:
             raise ProtocolError(
                 f"unknown submission fields: {sorted(unknown)}"
@@ -147,7 +146,10 @@ class AnalyzeRequest:
         return req
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        # the nine fields are scalars: nothing for ``asdict`` to recurse
+        # into, and ``request_key`` calls this once per request
+        return {name: value for name in self._TYPES
+                if (value := getattr(self, name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +196,28 @@ def launch_fingerprint(config, params: Optional[dict] = None) -> dict:
     }
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=16)
+def _arch_json(spec: GPUSpec) -> str:
+    """The arch term as it appears in an address preimage."""
+    return _dumps(_arch_term(spec))
+
+
 def _report_address(payload: dict, spec: GPUSpec) -> str:
     """Digest of ``payload`` plus the two terms every report address
     carries: the complete arch config and the report schema version —
-    bumping the schema invalidates every cached report at once."""
+    bumping the schema invalidates every cached report at once.  The
+    preimage is ``_dumps({**payload, "arch": ..., "schema": ...})``
+    with the ~60-field arch term spliced in from its per-spec dump."""
     from repro.core.jsonout import SCHEMA_VERSION
 
-    payload = dict(payload, arch=_arch_term(spec),
-                   schema=SCHEMA_VERSION)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert all(key > "arch" for key in payload), \
+        "the arch term is spliced in as the first key"
+    rest = _dumps(dict(payload, schema=SCHEMA_VERSION))
+    blob = f'{{"arch":{_arch_json(spec)},{rest[1:]}'
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -253,8 +268,7 @@ def static_key(kernel, config, extended: bool) -> str:
         "block": list(config.block) if config is not None else None,
         "extended": bool(extended),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_dumps(payload).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ Endpoints (JSON unless noted):
 The server process keeps the **L3 front cache**: a memo from request
 fingerprints to content addresses plus the report store, so a repeat
 submission is answered with one dict lookup (or one CRC-checked file
-read) without waking any worker.  Batch members that miss are
+read) without waking any worker.  What the store holds is the report's
+serialised text, and that text is what travels: every analyze reply is
+the envelope's other fields rendered around it (:func:`render`), never
+a parse and a second dump.  Batch members that miss are
 dispatched concurrently; identical concurrent submissions coalesce
 onto one computation (single-flight), and members sharing a program
 land in the same worker's warm L1 via shard-ring affinity.
@@ -63,6 +66,7 @@ from repro.obs.slog import configure as configure_logging
 from repro.obs.slog import get_logger
 from repro.obs.slog import mode as log_mode
 from repro.obs.spans import NULL_PROFILER, Profiler, Span
+from repro.serve.cache import report_text
 from repro.serve.protocol import (
     AnalyzeRequest,
     ProtocolError,
@@ -73,10 +77,10 @@ from repro.serve.service import (
     KernelRunner,
     corruption_diagnostic,
     error_envelope,
-    l3_envelope,
+    l3_head,
 )
 
-__all__ = ["ScoutServer", "new_request_id"]
+__all__ = ["ScoutServer", "new_request_id", "render"]
 
 #: cap on concurrently-dispatched batch members per request
 BATCH_FANOUT = 16
@@ -95,6 +99,35 @@ _log = get_logger("serve.http")
 def new_request_id() -> str:
     """A fresh request ID (16 hex chars)."""
     return secrets.token_hex(8)
+
+
+def render(fields: dict, key: str = "", text: Optional[str] = None) -> str:
+    """``json.dumps({**fields, key: json.loads(text)}, sort_keys=True)``
+    without the parse: ``text`` (already in that form) is spliced in
+    at ``key``'s sorted position.  Everything else — a client's
+    ``X-Request-Id`` included — goes through ``json.dumps``."""
+    if text is None:
+        return json.dumps(fields, sort_keys=True)
+    head = json.dumps({k: v for k, v in fields.items() if k < key},
+                      sort_keys=True)[:-1]
+    tail = json.dumps({k: v for k, v in fields.items() if k > key},
+                      sort_keys=True)[1:]
+    return "".join((head, ", " if len(head) > 1 else "", f'"{key}": ',
+                    text, ", " if len(tail) > 1 else "", tail))
+
+
+def render_batch(fields: dict, members: Optional[list]) -> str:
+    """A batch body: the members' bodies joined the way ``json.dumps``
+    joins a list, spliced in under ``responses``."""
+    return render(fields, "responses", None if members is None
+                  else "[%s]" % ", ".join(
+                      render(member, "report", blob)
+                      for member, blob in members))
+
+
+def _with_report(env: dict, blob: Optional[str]) -> dict:
+    """The dict ``render(env, "report", blob)`` is the dump of."""
+    return env if blob is None else {**env, "report": json.loads(blob)}
 
 
 class ScoutServer:
@@ -182,51 +215,64 @@ class ScoutServer:
         self.stop()
 
     # -- request handling ------------------------------------------------
-    def _front_hit(self, rkey: str) -> tuple[Optional[dict], bool]:
-        """L3 front lookup: ``(envelope | None, corrupted)``."""
-        address, _ = self._address_memo.get(rkey)
-        if address is None or self.runner.reports is None:
-            return None, False
-        cached, corrupted = self.runner.reports.get(address)
-        if cached is None:
-            return None, corrupted
-        return l3_envelope(address, cached), False
+    # A reply is ``(status, envelope without its report, report text)``
+    # all the way to the socket; ``handle_*`` parse the text for
+    # callers that want a dict.
+    def _front_hit(self, rkey: str) -> tuple[Optional[dict],
+                                             Optional[str], bool]:
+        """L3 front lookup: ``(envelope | None, report text,
+        corrupted)``."""
+        known, _ = self._address_memo.get(rkey)
+        if known is None or self.runner.reports is None:
+            return None, None, False
+        address, kernel = known
+        blob, corrupted = self.runner.reports.text(address)
+        if blob is None:
+            return None, None, corrupted
+        return l3_head(address, kernel), blob, False
 
     def handle_submission(self, payload,
                           request_id: Optional[str] = None
                           ) -> tuple[int, dict]:
         """Serve one submission; returns (HTTP status, envelope).  The
         envelope always carries ``request_id``."""
+        status, env, blob = self.answer(payload, request_id)
+        return status, _with_report(env, blob)
+
+    def answer(self, payload, request_id: Optional[str] = None
+               ) -> tuple[int, dict, Optional[str]]:
+        """:meth:`handle_submission` with the report still serialised
+        beside its envelope (``None`` beside an error)."""
         self.requests += 1
         request_id = request_id or new_request_id()
         prof = Profiler() if self.trace_dir else NULL_PROFILER
         set_exemplar(request_id)
         try:
-            status, env = self._handle(payload, request_id, prof)
+            status, env, blob = self._handle(payload, request_id, prof)
         finally:
             set_exemplar(None)
         # worker-side plumbing that must not leak to clients
         queue_ns = env.pop("_queue_ns", None)
         env["request_id"] = request_id
         if prof.enabled:
-            self._write_trace(request_id, prof, env, queue_ns)
-        return status, env
+            self._write_trace(request_id, prof, env, blob, queue_ns)
+        return status, env, blob
 
-    def _handle(self, payload, request_id: str,
-                prof: Profiler) -> tuple[int, dict]:
+    def _handle(self, payload, request_id: str, prof: Profiler
+                ) -> tuple[int, dict, Optional[str]]:
         with prof.span("validate"):
             try:
                 req = AnalyzeRequest.from_dict(payload)
             except ProtocolError as exc:
                 env = error_envelope(exc)
-                return http_status_for(env["code"]), env
+                return http_status_for(env["code"]), env, None
             rkey = request_key(req)
 
         with prof.span("cache:probe"):
-            env, corrupted = self._front_hit(rkey)
+            env, blob, corrupted = self._front_hit(rkey)
         if env is not None:
             self.l3_front_hits += 1
-            return 200, env
+            return 200, env, blob
 
         # single-flight: if an identical submission is already being
         # computed, wait for its result instead of computing it again
@@ -238,10 +284,10 @@ class ScoutServer:
                     break
             with prof.span("coalesce:wait"):
                 leader_done.wait(timeout=600.0)
-            env, corrupted = self._front_hit(rkey)
+            env, blob, corrupted = self._front_hit(rkey)
             if env is not None:
                 self.coalesced += 1
-                return 200, env
+                return 200, env, blob
             # leader failed or its result was uncacheable: loop to
             # either become the new leader or wait on one
 
@@ -254,26 +300,31 @@ class ScoutServer:
             else:
                 with prof.span("compute"):
                     env = self.runner.run(payload)
+            # dumped once: for the memory tier and for the wire
+            report = env.pop("report", None)
+            blob = None if report is None else report_text(report)
             if env.get("ok") and env.get("cacheable"):
-                self._address_memo.put(rkey, env["address"])
+                self._address_memo.put(
+                    rkey, (env["address"], env.get("kernel")))
                 # the worker already wrote the shared disk tier; the
                 # server keeps a memory copy so repeats cost no disk I/O
                 if self.pool is not None and \
                         self.runner.reports is not None:
-                    self.runner.reports.remember(env["address"],
-                                                 env["report"])
+                    self.runner.reports.remember_text(env["address"],
+                                                      blob)
         finally:
             with self._inflight_lock:
                 done = self._inflight.pop(rkey, None)
             if done is not None:
                 done.set()
         if corrupted and env.get("ok"):
-            env["report"].setdefault("diagnostics", []).append(
+            report.setdefault("diagnostics", []).append(
                 corruption_diagnostic("report"))
-        return http_status_for(env.get("code", 70)), env
+            blob = report_text(report)
+        return http_status_for(env.get("code", 70)), env, blob
 
     def _write_trace(self, request_id: str, prof: Profiler, env: dict,
-                     queue_ns) -> None:
+                     blob: Optional[str], queue_ns) -> None:
         """Dump one per-request Chrome trace (server-side spans plus
         the worker's engine spans when this request computed fresh).
         Tracing failures never break serving."""
@@ -285,8 +336,8 @@ class ScoutServer:
                 spans.append(Span(name="queue", start_ns=queue_ns[0],
                                   end_ns=queue_ns[1], depth=1))
             wspans = []
-            if env.get("cache") in ("cold", "l1"):
-                report = env.get("report") or {}
+            if env.get("cache") in ("cold", "l1") and blob is not None:
+                report = json.loads(blob)
                 wspans = (report.get("profile") or {}).get("spans", [])
             data = build_request_trace(
                 request_id, spans, wspans,
@@ -302,27 +353,36 @@ class ScoutServer:
                      ) -> tuple[int, dict]:
         """Serve a batch: ``{"requests": [...]}`` in order.  Member
         envelopes carry derived request IDs (``<batch id>-<index>``)."""
+        status, env, members = self.answer_batch(payload, request_id)
+        if members is not None:
+            env["responses"] = [_with_report(member, blob)
+                                for member, blob in members]
+        return status, env
+
+    def answer_batch(self, payload, request_id: Optional[str] = None
+                     ) -> tuple[int, dict, Optional[list]]:
+        """:meth:`handle_batch` with ``responses`` beside the envelope
+        as ``[(member envelope, report text)]`` (``None`` beside an
+        error)."""
         request_id = request_id or new_request_id()
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("requests"), list):
             env = error_envelope(ProtocolError(
                 "batch body must be {'requests': [...]}"))
-            return http_status_for(env["code"]), env
+            return http_status_for(env["code"]), env, None
         items = payload["requests"]
-        if not items:
-            return 200, {"ok": True, "responses": [],
-                         "request_id": request_id}
-        fanout = min(BATCH_FANOUT, len(items))
-        with ThreadPoolExecutor(max_workers=fanout) as pool:
-            results = list(pool.map(
-                lambda pair: self.handle_submission(
-                    pair[1], request_id=f"{request_id}-{pair[0]}")[1],
-                enumerate(items)))
+        members: list = []
+        if items:
+            fanout = min(BATCH_FANOUT, len(items))
+            with ThreadPoolExecutor(max_workers=fanout) as pool:
+                members = [reply[1:] for reply in pool.map(
+                    lambda pair: self.answer(
+                        pair[1], request_id=f"{request_id}-{pair[0]}"),
+                    enumerate(items))]
         return 200, {
-            "ok": all(r.get("ok") for r in results),
-            "responses": results,
+            "ok": all(member.get("ok") for member, _ in members),
             "request_id": request_id,
-        }
+        }, members
 
     # -- telemetry -------------------------------------------------------
     def observe_request(self, endpoint: str, status: int,
@@ -443,16 +503,21 @@ class _Handler(BaseHTTPRequestHandler):
         # errors) flow to the structured logger at DEBUG instead of
         # being discarded — `--access-log` / REPRO_LOG make them
         # visible, analysis output streams stay clean
-        _log.debug("http.server", message=format % args,
-                   client=self.address_string())
+        if _log.enabled("debug"):
+            _log.debug("http.server", message=format % args,
+                       client=self.address_string())
 
     def _request_id(self) -> str:
         return self.headers.get("X-Request-Id") or new_request_id()
 
     def _send(self, status: int, body: dict,
               request_id: Optional[str] = None) -> None:
-        self._respond(status, json.dumps(body, sort_keys=True).encode(),
-                      "application/json", request_id)
+        self._send_json(status, render(body), request_id)
+
+    def _send_json(self, status: int, text: str,
+                   request_id: Optional[str] = None) -> None:
+        self._respond(status, text.encode(), "application/json",
+                      request_id)
 
     def _send_text(self, status: int, text: str) -> None:
         self._respond(status, text.encode(),
@@ -472,8 +537,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.flush_headers()
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
+            # whatever follows the headers was not read: this
+            # connection cannot be parsed for a next request
+            self.close_connection = True
             raise ProtocolError("missing or oversized request body")
         raw = self.rfile.read(length)
         try:
@@ -485,10 +556,11 @@ class _Handler(BaseHTTPRequestHandler):
                 request_id: str, **fields) -> None:
         self.scout.observe_request(self.path, status, elapsed,
                                    request_id)
-        _log.info("http.access", method=method, path=self.path,
-                  status=status, elapsed_ms=round(elapsed * 1e3, 3),
-                  request_id=request_id, client=self.address_string(),
-                  **fields)
+        if _log.enabled("info"):
+            _log.info("http.access", method=method, path=self.path,
+                      status=status, elapsed_ms=round(elapsed * 1e3, 3),
+                      request_id=request_id,
+                      client=self.address_string(), **fields)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib casing
         t0 = perf_counter()
@@ -520,14 +592,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._access("POST", status, perf_counter() - t0, rid)
             return
         if self.path == "/v1/analyze":
-            status, env = self.scout.handle_submission(
-                payload, request_id=rid)
+            status, env, blob = self.scout.answer(payload, rid)
+            body = render(env, "report", blob)
         elif self.path == "/v1/batch":
-            status, env = self.scout.handle_batch(payload,
-                                                  request_id=rid)
+            status, env, members = self.scout.answer_batch(payload, rid)
+            body = render_batch(env, members)
         else:
             status, env = 404, {"ok": False, "error": "NotFound",
                                 "message": self.path}
-        self._send(status, env, request_id=rid)
+            body = render(env)
+        self._send_json(status, body, request_id=rid)
         self._access("POST", status, perf_counter() - t0, rid,
                      cache=env.get("cache"))

@@ -67,7 +67,7 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["KernelRunner", "corruption_diagnostic", "error_envelope",
-           "l3_envelope"]
+           "l3_envelope", "l3_head"]
 
 _MB = 1024 * 1024
 
@@ -89,11 +89,16 @@ def error_envelope(exc: BaseException) -> dict:
     }
 
 
+def l3_head(address: str, kernel: Optional[str]) -> dict:
+    """Every field but ``report`` of an envelope answered from the
+    report cache (``kernel`` is the report's own ``kernel``)."""
+    return {"ok": True, "code": 0, "cache": "l3", "address": address,
+            "kernel": kernel, "cacheable": True}
+
+
 def l3_envelope(address: str, report: dict) -> dict:
     """The envelope of a submission answered from the report cache."""
-    return {"ok": True, "code": 0, "cache": "l3", "address": address,
-            "kernel": report.get("kernel"), "cacheable": True,
-            "report": report}
+    return {**l3_head(address, report.get("kernel")), "report": report}
 
 
 def corruption_diagnostic(tier: str) -> dict:

@@ -1,7 +1,14 @@
 """CI smoke for the serving stack: start ``gpuscout serve`` with a
 pooled engine, submit the same 3-kernel batch twice over HTTP, and
 assert the second pass is answered entirely from the content-addressed
-L3 report cache (no member recomputed).
+L3 report cache (no member recomputed), in the stored bytes: the warm
+body must be in canonical form (``dumps(loads(body), sort_keys=True)
+== body``) and each report equal to the cold one after
+``strip_volatile``.  One
+request with a malformed ``Content-Length`` must come back as a 400,
+and a 200-request keep-alive loop over one L3 hit prints its rate
+(ungated — a regression of the one-write response would read as
+~23/s instead of thousands).
 
 ``GET /metrics`` is scraped after each pass: the exposition must parse
 (structural validator, same one ``tools/validate_metrics.py`` wraps),
@@ -15,8 +22,9 @@ A second, inline server is then sent two sizes of one variant:
 (``runner.programs``: ``compiles == entries``, bounded by the catalog).
 
 Exits non-zero on any protocol error, batch failure, cache miss on the
-second pass, served/recomputed report divergence, telemetry gap, or a
-program compiled more than once.
+second pass, served/recomputed report divergence, non-canonical body,
+unanswered malformed request, telemetry gap, or a program compiled
+more than once.
 
 Usage::
 
@@ -25,11 +33,13 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
 import json
 import pathlib
 import shutil
 import sys
 import tempfile
+import time
 import urllib.request
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.kernels.catalog import CATALOG  # noqa: E402
 from repro.obs.metrics import validate_exposition  # noqa: E402
 from repro.serve import ScoutServer  # noqa: E402
+from repro.serve.protocol import strip_volatile  # noqa: E402
 
 BATCH = {"requests": [
     {"kernel": "sgemm:naive", "size": 48},
@@ -62,11 +73,48 @@ REQUIRED_FAMILIES = (
 CACHE_TIERS = ("resolve", "l1", "l2", "l3", "memo")
 
 
-def _post(url: str, path: str, body: dict) -> dict:
+#: requests of the keep-alive loop
+KEEPALIVE_HITS = 200
+
+
+def _post_raw(url: str, path: str, body: dict) -> bytes:
     req = urllib.request.Request(url + path,
                                  data=json.dumps(body).encode())
     with urllib.request.urlopen(req, timeout=300) as resp:
-        return json.loads(resp.read())
+        return resp.read()
+
+
+def _post(url: str, path: str, body: dict) -> dict:
+    return json.loads(_post_raw(url, path, body))
+
+
+def _malformed_length_status(srv) -> int:
+    """HTTP status of a POST whose ``Content-Length`` is not a number
+    (0 when the server drops the connection without answering)."""
+    conn = http.client.HTTPConnection(*srv.address, timeout=30)
+    try:
+        conn.putrequest("POST", "/v1/analyze")
+        conn.putheader("Content-Length", "abc")
+        conn.endheaders()
+        return conn.getresponse().status
+    except (OSError, http.client.HTTPException):
+        return 0
+    finally:
+        conn.close()
+
+
+def _keepalive_hits_per_s(srv, payload: dict) -> float:
+    """L3 hits per second over one persistent connection."""
+    body = json.dumps(payload).encode()
+    conn = http.client.HTTPConnection(*srv.address, timeout=30)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(KEEPALIVE_HITS):
+            conn.request("POST", "/v1/analyze", body=body)
+            conn.getresponse().read()
+        return KEEPALIVE_HITS / (time.perf_counter() - t0)
+    finally:
+        conn.close()
 
 
 def _scrape(url: str) -> str:
@@ -121,7 +169,11 @@ def main() -> int:
                     f"scrape 1 covers cache tiers {tiers}, "
                     f"want {CACHE_TIERS}")
 
-            second = _post(srv.url, "/v1/batch", BATCH)
+            warm_body = _post_raw(srv.url, "/v1/batch", BATCH)
+            second = json.loads(warm_body)
+            if json.dumps(second, sort_keys=True).encode() != warm_body:
+                failures.append("warm batch body is not in canonical "
+                                "form (sorted keys, default separators)")
             if not second.get("ok"):
                 failures.append(f"warm batch failed: {second}")
             for i, env in enumerate(second.get("responses", [])):
@@ -129,11 +181,21 @@ def main() -> int:
                     failures.append(
                         f"warm member {i} missed the report cache: "
                         f"cache={env.get('cache')!r}")
-            firsts = [e.get("report") for e in first.get("responses", [])]
-            seconds = [e.get("report")
+            firsts = [strip_volatile(e.get("report") or {})
+                      for e in first.get("responses", [])]
+            seconds = [strip_volatile(e.get("report") or {})
                        for e in second.get("responses", [])]
             if firsts != seconds:
                 failures.append("warm batch reports differ from cold")
+
+            status = _malformed_length_status(srv)
+            if status != 400:
+                failures.append(
+                    f"malformed Content-Length answered {status or 'nothing'}"
+                    ", want 400")
+            hits_per_s = _keepalive_hits_per_s(srv, BATCH["requests"][0])
+            print(f"keep-alive L3 hits: {hits_per_s:.0f}/s over "
+                  f"{KEEPALIVE_HITS} requests on one connection")
 
             scrape2 = _scrape(srv.url)
             for p in validate_exposition(scrape2):
