@@ -256,54 +256,36 @@ def _main(argv: list[str] | None = None) -> int:
 
 def _run_analyze(args) -> int:
     """``gpuscout analyze``: the paper's workflow on one kernel."""
-    from repro.core.engine import GPUscout
-    from repro.gpu.config import GPUSpec
+    from repro.core.request import AnalyzeRequest, analyze_request
 
-    analyses = None
-    if args.extended:
-        from repro.core.base import all_analyses
-
-        analyses = all_analyses()
-    budget = None
-    if args.deadline is not None:
-        from repro.gpu.budget import SimBudget
-
-        budget = SimBudget(max_wall_seconds=args.deadline)
+    text = None
+    if args.sass:
+        with open(args.sass) as fh:
+            text = fh.read()
+        if not args.dry_run:
+            print("note: raw SASS supports static analysis only; "
+                  "running as --dry-run", file=sys.stderr)
+    req = AnalyzeRequest(
+        kernel=args.kernel, sass=text, size=args.size,
+        compute_iterations=args.compute_iterations,
+        max_blocks=args.max_blocks, extended=args.extended,
+        dry_run=args.dry_run or text is not None, deadline=args.deadline,
+    )
     if args.profile:
         # the [metrics] footer rides on --profile: arm the registry so
         # the engine's stage/cache/throughput series have data
         from repro.obs.metrics import arm
 
         arm(True)
-    scout = GPUscout(analyses=analyses, spec=GPUSpec.v100(), budget=budget)
     capture = None
-    if args.trace and not args.dry_run and not args.sass:
+    if args.trace and req.dry_run:
+        print("note: --trace needs a simulated launch; no trace "
+              "written for raw SASS / --dry-run", file=sys.stderr)
+    elif args.trace:
         from repro.obs.timeline_capture import TimelineCapture
 
         capture = TimelineCapture()
-    if args.sass:
-        with open(args.sass) as fh:
-            text = fh.read()
-        report = scout.analyze(text, dry_run=True)
-        if not args.dry_run:
-            print("note: raw SASS supports static analysis only; "
-                  "running as --dry-run", file=sys.stderr)
-        if args.trace:
-            print("note: --trace needs a simulated launch; no trace "
-                  "written for raw SASS / --dry-run", file=sys.stderr)
-    else:
-        ck, config, kargs, textures = resolve_kernel(
-            args.kernel, args.size, args.compute_iterations
-        )
-        report = scout.analyze(
-            ck, config, kargs, textures=textures,
-            dry_run=args.dry_run,
-            max_blocks=args.max_blocks,
-            trace=capture,
-        )
-        if args.trace and capture is None:
-            print("note: --trace needs a simulated launch; no trace "
-                  "written for raw SASS / --dry-run", file=sys.stderr)
+    report = analyze_request(req, trace=capture)
     if capture is not None:
         from repro.obs.chrometrace import write_chrome_trace
 
@@ -412,18 +394,13 @@ def _run_overlay(args) -> int:
         return 2
     blame = None
     if args.kernel:
-        ck, config, kargs, textures = resolve_kernel(
-            args.kernel, args.size
-        )
-        program = ck.program
+        resolved = resolve_kernel(args.kernel, args.size)
+        program = resolved[0].program
         if args.sampled:
-            from repro.core.engine import GPUscout
-            from repro.gpu.config import GPUSpec
+            from repro.core.request import AnalyzeRequest, analyze_request
 
-            scout = GPUscout(spec=GPUSpec.v100())
-            report = scout.analyze(ck, config, kargs, textures=textures,
-                                   max_blocks=8)
-            blame = report.blame
+            req = AnalyzeRequest(kernel=args.kernel, size=args.size)
+            blame = analyze_request(req, resolved=resolved).blame
     else:
         if args.sampled:
             print("note: --sampled needs a built-in kernel (a raw "
@@ -476,24 +453,17 @@ def _run_compare(args) -> int:
     """``gpuscout compare``: analyze two kernels and show the
     new-vs-old metric comparison."""
     from repro.core.compare import compare_reports
-    from repro.core.engine import GPUscout
-    from repro.gpu.config import GPUSpec
+    from repro.core.request import AnalyzeRequest, analyze_request
 
-    scout = GPUscout(spec=GPUSpec.v100())
-    reports = []
-    for spec in (args.old, args.new):
-        ck, config, kargs, textures = resolve_kernel(
-            spec, args.size, args.compute_iterations
-        )
-        reports.append(
-            scout.analyze(ck, config, kargs, textures=textures,
-                          max_blocks=args.max_blocks)
-        )
-    comparison = compare_reports(reports[0], reports[1])
+    old, new = (analyze_request(AnalyzeRequest(
+        kernel=spec, size=args.size, max_blocks=args.max_blocks,
+        compute_iterations=args.compute_iterations,
+    )) for spec in (args.old, args.new))
+    comparison = compare_reports(old, new)
     print(comparison.render())
     if args.html:
         with open(args.html, "w") as fh:
-            fh.write(reports[1].render_html(comparison=comparison))
+            fh.write(new.render_html(comparison=comparison))
         print(f"interactive comparison written to {args.html}",
               file=sys.stderr)
     return 0

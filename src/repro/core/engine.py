@@ -241,7 +241,6 @@ class GPUscout:
         spec: Optional[GPUSpec] = None,
         sampler: Optional[PCSampler] = None,
         ncu: Optional[NsightComputeCLI] = None,
-        budget: Optional[SimBudget] = None,
     ):
         self.analyses = list(analyses) if analyses is not None else default_analyses()
         self.spec = spec or GPUSpec.v100()
@@ -249,9 +248,6 @@ class GPUscout:
             self.sampler = sampler
         if ncu is not None:
             self.ncu = ncu
-        #: default resource budget applied to every :meth:`analyze`
-        #: (a per-call ``budget`` argument overrides it)
-        self.budget = budget
 
     @cached_property
     def sampler(self) -> PCSampler:
@@ -314,7 +310,6 @@ class GPUscout:
         carries the enclosing stage's elapsed time in
         ``detail["elapsed_s"]``.
         """
-        budget = budget if budget is not None else self.budget
         diags: list[Diagnostic] = []
         crashed = {"bundled": False}
         prof = Profiler()

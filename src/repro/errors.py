@@ -33,6 +33,7 @@ __all__ = [
     "MetricError",
     "AnalysisError",
     "UnknownKernelError",
+    "ProtocolError",
     "exit_code_for",
 ]
 
@@ -190,6 +191,11 @@ class UnknownKernelError(ReproError):
     error on both surfaces: CLI exit 2, served ``code 64`` / HTTP 400."""
 
 
+class ProtocolError(ReproError):
+    """A request :class:`~repro.core.request.AnalyzeRequest` rejects: a
+    usage error, CLI exit 2, served ``code 64`` / HTTP 400."""
+
+
 #: BSD-style sysexits mapping: scripts branch on *what* failed.  Order
 #: matters only in that subclasses (e.g. SimulationTimeout) match their
 #: closest listed ancestor.
@@ -197,6 +203,7 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE
 _EXIT_CODES: list[tuple[type, int]] = [
     (SassSyntaxError, 2),
     (UnknownKernelError, 2),
+    (ProtocolError, 2),
     (CompileError, 3),
     (LaunchError, 4),
     (SimulationError, 5),

@@ -8,14 +8,14 @@ cache in milliseconds, and batches fan out across a worker pool.
 
 Layers (DESIGN.md §9):
 
-* :mod:`repro.serve.protocol` — the HTTP/JSON request schema over the
-  existing schema-v4 report JSON, content-address derivation, and the
+* :mod:`repro.serve.protocol` — the wire names of the request
+  (:mod:`repro.core.request`), content-address derivation, and the
   CLI exit-code ↔ HTTP status mapping;
 * :mod:`repro.serve.cache` — the L1 (static artifacts) and L3 (full
   report JSON) tiers; L2 (effect traces) lives in
   :mod:`repro.gpu.trace_cache`;
-* :mod:`repro.serve.service` — the per-process compute engine gluing
-  the cache tiers to :class:`~repro.core.engine.GPUscout`;
+* :mod:`repro.serve.service` — the per-process cache tiers around
+  :func:`~repro.core.request.analyze_request`;
 * :mod:`repro.serve.pool` — the ``multiprocessing`` worker pool with
   arch-config shard affinity and dead-worker retry;
 * :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``

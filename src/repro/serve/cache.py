@@ -56,9 +56,9 @@ class ReportCache(TieredCache):
     """Memory + disk LRU of full report JSON, keyed by content address.
 
     Entries are :func:`report_text` blobs, sized by length.  ``text``
-    / ``remember_text`` move a blob as it is; ``get`` / ``put`` /
-    ``remember`` are the same operations for callers holding a dict
-    (``get`` parses a fresh one per call, so it may be mutated).
+    and the inherited ``remember`` (memory tier only) move a blob as it
+    is; ``get`` / ``put`` take and give a dict (``get`` parses a fresh
+    one per call, so it may be mutated).
     """
 
     def __init__(self, directory=None, capacity: int = 256,
@@ -84,9 +84,3 @@ class ReportCache(TieredCache):
 
     def put(self, key: str, report: dict) -> None:
         super().put(key, report_text(report))
-
-    def remember_text(self, key: str, blob: str) -> None:
-        super().remember(key, blob)
-
-    def remember(self, key: str, report: dict) -> None:
-        self.remember_text(key, report_text(report))

@@ -30,10 +30,13 @@ import copy
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Any, Optional
+from dataclasses import asdict
+from typing import Optional
 
-from repro.errors import ReproError
+# the request and its validation live with the analysis path; they are
+# re-exported here, the wire protocol's names for them
+from repro.core.request import ARCHS, AnalyzeRequest, arch_spec
+from repro.errors import ProtocolError
 from repro.gpu.config import GPUSpec
 from repro.sass.affine import pointer_param_offsets
 
@@ -55,101 +58,6 @@ __all__ = [
 #: EX_USAGE — a malformed submission (bad JSON, unknown field, unknown
 #: kernel spec/arch).  Extends the CLI's parse=2 … internal=70 ladder.
 EXIT_USAGE = 64
-
-#: named arch configs a submission may select; the *fingerprint* of the
-#: resolved spec (every field, not the name) enters the content address,
-#: so redefining an arch invalidates its cached results
-ARCHS = {
-    "v100": GPUSpec.v100,
-    "small": lambda: GPUSpec.small(1),
-    "small4": lambda: GPUSpec.small(4),
-}
-
-
-class ProtocolError(ReproError):
-    """A submission the service cannot act on (usage error)."""
-
-
-def arch_spec(name: str) -> GPUSpec:
-    try:
-        return ARCHS[name]()
-    except KeyError:
-        raise ProtocolError(
-            f"unknown arch {name!r}; known: {sorted(ARCHS)}"
-        ) from None
-
-
-@dataclass(frozen=True)
-class AnalyzeRequest:
-    """One kernel-analysis submission (already validated)."""
-
-    kernel: Optional[str] = None  # built-in spec, e.g. "sgemm:naive"
-    sass: Optional[str] = None    # raw SASS text (static analysis only)
-    size: int = 256
-    compute_iterations: int = 8
-    max_blocks: int = 8
-    dry_run: bool = False
-    extended: bool = False
-    arch: str = "v100"
-    #: wall-clock budget (seconds) for this request's simulation; on
-    #: expiry the run degrades down the usual ladder instead of failing
-    deadline: Optional[float] = None
-
-    _TYPES = {
-        "kernel": (str, type(None)),
-        "sass": (str, type(None)),
-        "size": (int,),
-        "compute_iterations": (int,),
-        "max_blocks": (int,),
-        "dry_run": (bool,),
-        "extended": (bool,),
-        "arch": (str,),
-        "deadline": (int, float, type(None)),
-    }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "AnalyzeRequest":
-        if not isinstance(data, dict):
-            raise ProtocolError("submission must be a JSON object")
-        unknown = data.keys() - cls._TYPES.keys()
-        if unknown:
-            raise ProtocolError(
-                f"unknown submission fields: {sorted(unknown)}"
-            )
-        for name, types in cls._TYPES.items():
-            if name not in data:
-                continue
-            value = data[name]
-            # bool is an int subclass: reject it where int is meant
-            bad = (isinstance(value, bool) and bool not in types) \
-                or not isinstance(value, types)
-            if bad:
-                raise ProtocolError(
-                    f"field {name!r} has wrong type "
-                    f"{type(value).__name__}"
-                )
-        req = cls(**data)
-        if (req.kernel is None) == (req.sass is None):
-            raise ProtocolError(
-                "submission needs exactly one of 'kernel' or 'sass'"
-            )
-        if req.sass is not None and not req.dry_run:
-            raise ProtocolError(
-                "raw SASS supports static analysis only; set dry_run"
-            )
-        if req.size <= 0 or req.max_blocks <= 0:
-            raise ProtocolError("size and max_blocks must be positive")
-        if req.arch not in ARCHS:
-            raise ProtocolError(
-                f"unknown arch {req.arch!r}; known: {sorted(ARCHS)}"
-            )
-        return req
-
-    def to_dict(self) -> dict:
-        # the nine fields are scalars: nothing for ``asdict`` to recurse
-        # into, and ``request_key`` calls this once per request
-        return {name: value for name in self._TYPES
-                if (value := getattr(self, name)) is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,6 @@ class ScoutServer:
                  metrics: bool = True,
                  access_log: bool = False,
                  trace_dir: Optional[str] = None):
-        self.deadline = deadline
         self.trace_dir = trace_dir
         if metrics:
             # arm BEFORE forking the pool so workers inherit the flag
@@ -310,8 +309,7 @@ class ScoutServer:
                 # server keeps a memory copy so repeats cost no disk I/O
                 if self.pool is not None and \
                         self.runner.reports is not None:
-                    self.runner.reports.remember_text(env["address"],
-                                                      blob)
+                    self.runner.reports.remember(env["address"], blob)
         finally:
             with self._inflight_lock:
                 done = self._inflight.pop(rkey, None)

@@ -1,29 +1,24 @@
 """The per-process compute side of the analysis service.
 
 A :class:`KernelRunner` lives in every service worker (and in the
-server process itself when running inline, ``--workers 0``).  It owns
-the process-local cache tiers and walks a submission down them:
+server process itself when running inline, ``--workers 0``).  It is
+the cache tiers around :func:`repro.core.request.analyze_request`, the
+call ``gpuscout analyze`` makes:
 
-1. resolve the kernel: the program is the catalog's per-process
-   singleton for the variant (:func:`repro.kernels.catalog.program`),
-   the staged launch inputs are memoised here per (spec, size, iters);
+1. resolve the kernel (the catalog's per-process program, the launch
+   inputs memoised here per (spec, size, iters));
 2. derive the content address; a shared-disk **L3** hit returns the
    stored report JSON without touching the engine;
-3. an **L1** hit (static artifacts per SASS hash + geometry) skips
-   parse/analyses/affine and goes straight to the dynamic stages;
-4. the dynamic stages themselves hit **L2** (the content-addressed
-   effect-trace cache, :mod:`repro.gpu.trace_cache`) so repeat
-   simulations are replay-only;
-5. a full miss runs the one-shot pipeline and populates every tier.
+3. an **L1** hit (static artifacts per SASS hash + geometry) skips the
+   static stages, and the dynamic ones hit **L2**, the effect-trace
+   cache (:mod:`repro.gpu.trace_cache`);
+4. a full miss runs the whole pipeline and populates every tier.
 
-Per-request failures never escape as exceptions: :func:`error_envelope`
-maps them to the CLI's stage codes (parse=2 … internal=70, usage=64)
-inside a JSON body, and the engine's own fault boundaries mean a
-poisoned submission degrades *that response* while the process lives
-on.  A per-request ``deadline`` becomes a
-:class:`~repro.gpu.budget.SimBudget` wall-clock guard, degrading the
-run down the usual ladder on expiry — exactly the CLI's ``--deadline``
-semantics.
+Per-request failures never escape: :func:`error_envelope` maps them to
+the CLI's stage codes (parse=2 … internal=70, usage=64) inside a JSON
+body, and a poisoned submission degrades only its own response.  A
+request without a ``deadline`` takes the runner's (the server's
+``--deadline``).
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import replace
 from typing import Optional
 
 # One-shots import what their subcommand runs; a serving process does
@@ -50,21 +46,15 @@ import repro.sass.slicing  # noqa: F401
 import repro.sass.writer  # noqa: F401
 from repro.cache import TieredCache
 from repro.core.base import all_analyses
-from repro.core.engine import GPUscout
 from repro.core.jsonout import report_to_dict
-from repro.errors import Diagnostic, UnknownKernelError, exit_code_for
-from repro.gpu.budget import SimBudget
+from repro.core.request import (AnalyzeRequest, analyze_request,
+                                arch_spec, resolve, static_artifacts)
+from repro.errors import (Diagnostic, ProtocolError, UnknownKernelError,
+                          exit_code_for)
 from repro.gpu.trace_cache import configure_trace_cache, trace_cache
 from repro.kernels.catalog import program_stats, resolve_kernel
 from repro.serve.cache import ReportCache, StaticCache
-from repro.serve.protocol import (
-    EXIT_USAGE,
-    AnalyzeRequest,
-    ProtocolError,
-    arch_spec,
-    content_address,
-    static_key,
-)
+from repro.serve.protocol import EXIT_USAGE, content_address, static_key
 
 __all__ = ["KernelRunner", "corruption_diagnostic", "error_envelope",
            "l3_envelope", "l3_head"]
@@ -128,7 +118,6 @@ class KernelRunner:
         #: 4-tuple (``histogram_args`` is 5.5 ms at 65 536 threads);
         #: entries of one variant share the catalog's one program
         self.resolved = TieredCache("resolve", 64)
-        self._scouts: dict = {}
         self._lock = threading.Lock()
         self.reports: Optional[ReportCache] = None
         if cache_dir is not None:
@@ -160,10 +149,10 @@ class KernelRunner:
 
     # ------------------------------------------------------------------
     def _resolve(self, req: AnalyzeRequest):
-        """(kernel-or-sass, config, args, textures) for a validated
-        request."""
+        """:func:`~repro.core.request.resolve`, memoised per (spec,
+        size, iters)."""
         if req.sass is not None:
-            return req.sass, None, None, {}
+            return resolve(req)
         key = (req.kernel, req.size, req.compute_iterations)
         hit, _ = self.resolved.get(key)
         if hit is None:
@@ -172,21 +161,10 @@ class KernelRunner:
             self.resolved.put(key, hit)
         return hit
 
-    def _scout(self, req: AnalyzeRequest):
-        key = (req.arch, req.extended)
-        scout = self._scouts.get(key)
-        if scout is None:
-            scout = GPUscout(
-                analyses=all_analyses() if req.extended else None,
-                spec=arch_spec(req.arch),
-            )
-            self._scouts[key] = scout
-        return scout
-
     # ------------------------------------------------------------------
     def _run(self, req: AnalyzeRequest) -> dict:
-        kernel, config, args, textures = self._resolve(req)
-        spec = arch_spec(req.arch)
+        resolved = self._resolve(req)
+        kernel, config = resolved[:2]
         address = content_address(
             kernel, config,
             params={
@@ -194,7 +172,7 @@ class KernelRunner:
                 "iters": req.compute_iterations,
                 "max_blocks": req.max_blocks,
             },
-            spec=spec,
+            spec=arch_spec(req.arch),
             extras={"dry_run": req.dry_run, "extended": req.extended},
         )
 
@@ -205,33 +183,22 @@ class KernelRunner:
                 self.l3_hits += 1
                 return l3_envelope(address, cached)
 
-        scout = self._scout(req)
         skey = static_key(kernel, config, req.extended)
         art = self.static.get(skey)
         if art is not None and not art.matches(kernel, config):
             art = None  # the engine would recompute: say so
         cache_tier = "l1" if art is not None else "cold"
-        deadline = req.deadline if req.deadline is not None \
-            else self.deadline
-        budget = SimBudget(max_wall_seconds=deadline) \
-            if deadline is not None else None
+        if req.deadline is None and self.deadline is not None:
+            req = replace(req, deadline=self.deadline)
 
         # one request computes at a time per process: the engine and
         # the global trace cache are not re-entrant (workers provide
         # the parallelism; inline mode serialises here)
         with self._lock:
             if art is None:
-                art = scout.analyze_static(kernel, config)
+                art = static_artifacts(req, resolved)
                 self.static.put(skey, art)
-            if req.sass is not None or req.dry_run:
-                report = scout.analyze(kernel, config=config,
-                                       dry_run=True, static=art)
-            else:
-                report = scout.analyze(
-                    kernel, config, args, textures=textures,
-                    max_blocks=req.max_blocks, budget=budget,
-                    static=art,
-                )
+            report = analyze_request(req, resolved=resolved, static=art)
         if cache_tier == "l1":
             self.l1_hits += 1
         else:

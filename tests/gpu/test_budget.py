@@ -109,9 +109,9 @@ class TestDegradationLadder:
         # budget completes static-only — never raises — and the latched
         # budget ends the ladder there: no rung re-uploads the buffers
         # to rediscover the same exhaustion
-        scout = GPUscout(spec=GPUSpec.small(1),
-                         budget=SimBudget(max_cycles=1.0))
-        report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
+        scout = GPUscout(spec=GPUSpec.small(1))
+        report = scout.analyze(saxpy_ck, CONFIG, saxpy_args(),
+                               budget=SimBudget(max_cycles=1.0))
         assert report.mode == "static"
         assert report.launch is None
         assert report.degraded

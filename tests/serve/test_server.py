@@ -142,6 +142,29 @@ class TestEndpoints:
         assert env["report"]["mode"] in ("functional", "static")
         assert env["cacheable"] is False
 
+    @pytest.mark.parametrize("value", [b"NaN", b"Infinity", b"-1"])
+    def test_deadline_must_be_finite_and_not_negative(self, server, value):
+        # stdlib ``json.loads`` accepts NaN; a NaN deadline never trips,
+        # so the run would be unbounded and its reply cached
+        single = b'{"kernel": "%s", "size": 96, "deadline": %s}' % (
+            KERNEL.encode(), value)
+        status, env = post(server, "/v1/analyze", single)
+        assert status == 400 and env["code"] == EXIT_USAGE
+        assert "deadline" in env["message"]
+        status, body = post(server, "/v1/batch",
+                            b'{"requests": [%s]}' % single)
+        assert status == 200 and body["ok"] is False
+        member, = body["responses"]
+        assert member["code"] == EXIT_USAGE and "report" not in member
+        assert server.runner.cold == 0
+
+    def test_negative_compute_iterations_is_a_usage_error(self, server):
+        status, env = post(server, "/v1/analyze",
+                           {"kernel": "mixbench:sp:naive", "size": 64,
+                            "compute_iterations": -1})
+        assert status == 400 and env["code"] == EXIT_USAGE
+        assert server.runner.cold == 0
+
     def test_stats_shape(self, server):
         post(server, "/v1/analyze", {"kernel": KERNEL, "size": 128})
         status, stats = get(server, "/v1/stats")

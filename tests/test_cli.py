@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main, resolve_kernel
+from repro.cli import build_parser, exit_code_for, main, resolve_kernel
 from repro.errors import UnknownKernelError
 
 #: an unknown variant, a third part that used to mean "naive", and an
@@ -225,6 +225,32 @@ class TestExitCodes:
     def test_usage_errors_keep_argparse_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--kernel", "sgemm:naive", "--size", "48",
+         "--deadline", "nan"],
+        ["analyze", "--kernel", "sgemm:naive", "--size", "48",
+         "--deadline", "inf"],
+        ["analyze", "--kernel", "sgemm:naive", "--size", "48",
+         "--deadline", "-1"],
+        ["analyze", "--kernel", "mixbench:sp:naive", "--size", "64",
+         "--compute-iterations", "-1"],
+        ["compare", "--old", "mixbench:sp:naive", "--new",
+         "mixbench:sp:vec", "--size", "64", "--compute-iterations", "-2"],
+    ], ids=["nan", "inf", "negative", "iterations", "compare-iterations"])
+    def test_request_values_the_api_rejects_exit_2(self, argv, capsys):
+        # the request rejects them on construction, before anything is
+        # compiled or launched: a NaN deadline never trips and a
+        # negative one is no budget, so neither may run unbounded
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "gpuscout: error:" in captured.err
+        assert captured.out == ""
+
+    def test_a_rejected_request_is_a_usage_error(self):
+        from repro.errors import ProtocolError
+
+        assert exit_code_for(ProtocolError("x")) == 2
 
 
 class TestHealthOutput:

@@ -117,3 +117,35 @@ def test_the_oracle_stays_out_of_the_product():
         capture_output=True, text=True, check=True,
     )
     assert loaded.stdout.strip() == "False"
+
+
+def _calls(name: str, keyword: str = ""):
+    """Files under ``src/repro`` whose code calls ``name(...)`` (with
+    ``keyword=`` when given); docstrings and comments do not count."""
+    import ast
+
+    src = REPO / "src" / "repro"
+    holders = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if called == name and (not keyword or any(
+                    kw.arg == keyword for kw in node.keywords)):
+                holders.add(str(path.relative_to(src)))
+    return holders
+
+
+def test_one_request_to_report_path():
+    """``analyze``, ``compare``, ``overlay --sampled`` and the service
+    build an ``AnalyzeRequest`` and run it through
+    ``repro.core.request``: the analyzer, a deadline's budget and the
+    arch config are made there, not per surface."""
+    assert _calls("GPUscout") == {"core/request.py"}
+    assert _calls("SimBudget", "max_wall_seconds") == {
+        "core/request.py", "core/validate.py"}
+    cli = (REPO / "src" / "repro" / "cli.py").read_text()
+    assert "GPUSpec" not in cli
