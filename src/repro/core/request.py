@@ -22,7 +22,7 @@ from repro.gpu.config import GPUSpec
 from repro.kernels.catalog import resolve_kernel
 
 __all__ = ["ARCHS", "AnalyzeRequest", "analyze_request", "arch_spec",
-           "resolve", "static_artifacts"]
+           "check_deadline", "resolve", "static_artifacts"]
 
 #: named arch configs a request may select; the *fingerprint* of the
 #: resolved spec (every field, not the name) enters the content address,
@@ -41,6 +41,17 @@ def arch_spec(name: str) -> GPUSpec:
         raise ProtocolError(
             f"unknown arch {name!r}; known: {sorted(ARCHS)}"
         ) from None
+
+
+def check_deadline(deadline: Optional[float]) -> Optional[float]:
+    """``deadline`` when it is ``None`` or finite and >= 0, else a
+    ``ProtocolError``: ``json.loads`` accepts NaN, and ``now > nan``
+    never trips a budget."""
+    if deadline is not None and not (
+            math.isfinite(deadline) and deadline >= 0):
+        raise ProtocolError(
+            f"deadline must be finite and >= 0, got {deadline}")
+    return deadline
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,7 @@ class AnalyzeRequest:
             raise ProtocolError("size and max_blocks must be positive")
         if self.compute_iterations < 0:
             raise ProtocolError("compute_iterations must not be negative")
-        # ``json.loads`` accepts NaN, and ``now > nan`` never trips
-        if self.deadline is not None and not (
-                math.isfinite(self.deadline) and self.deadline >= 0):
-            raise ProtocolError(
-                f"deadline must be finite and >= 0, got {self.deadline}"
-            )
+        check_deadline(self.deadline)
         if self.arch not in ARCHS:
             raise ProtocolError(
                 f"unknown arch {self.arch!r}; known: {sorted(ARCHS)}"

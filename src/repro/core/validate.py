@@ -375,8 +375,11 @@ def validate_suite(
     ``deadline`` bounds the *whole* suite in wall-clock seconds: one
     shared, latching :class:`~repro.gpu.budget.SimBudget` spans every
     launch, so once time runs out the remaining kernels fail fast and
-    are reported with ``error`` set — partial results, clean exit."""
-    budget = (SimBudget(max_wall_seconds=deadline)
+    are reported with ``error`` set — partial results, clean exit.
+    A deadline that is not finite and >= 0 is a ``ProtocolError``."""
+    from repro.core.request import check_deadline
+
+    budget = (SimBudget(max_wall_seconds=check_deadline(deadline))
               if deadline is not None else None)
     return [
         validate_kernel(name, size=size, gpu=gpu, budget=budget,

@@ -18,9 +18,10 @@ Layers (DESIGN.md §9):
   :func:`~repro.core.request.analyze_request`;
 * :mod:`repro.serve.pool` — the ``multiprocessing`` worker pool with
   arch-config shard affinity and dead-worker retry;
-* :mod:`repro.serve.server` — the stdlib ``ThreadingHTTPServer``
-  front end (``POST /v1/analyze``, ``POST /v1/batch``,
-  ``GET /v1/stats``, ``GET /healthz``).
+* :mod:`repro.serve.server` — the stdlib ``http.server`` front end
+  on a bounded set of reused handler threads, with its own request-head
+  reader (``POST /v1/analyze``, ``POST /v1/batch``, ``GET /v1/stats``,
+  ``GET /healthz``).
 """
 
 from repro.serve.protocol import (

@@ -30,6 +30,11 @@ dispatched concurrently; identical concurrent submissions coalesce
 onto one computation (single-flight), and members sharing a program
 land in the same worker's warm L1 via shard-ring affinity.
 
+**The edge.**  ``HANDLER_THREADS`` reused threads serve the accepted
+connections, the request head is read here under stated limits
+(``MAX_HEADER_LINES``, ``MAX_HEAD_BYTES``), and every error the edge
+raises itself is the JSON ``code 64`` envelope, not an HTML page.
+
 **Request tracing.**  Every request gets an ID (``X-Request-Id``
 header, or minted) that is echoed in the response envelope and header,
 attached to latency-histogram buckets as an exemplar, and propagated
@@ -43,14 +48,18 @@ request spent its time.
 from __future__ import annotations
 
 import json
+import queue
+import re
 import secrets
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from time import perf_counter
 from typing import Optional
 
 from repro.cache import TieredCache
+from repro.core.request import check_deadline
 from repro.gpu.trace_cache import trace_cache
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.metrics import (
@@ -86,6 +95,29 @@ __all__ = ["ScoutServer", "new_request_id", "render"]
 BATCH_FANOUT = 16
 #: largest accepted request body (a raw-SASS listing fits comfortably)
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: handler threads, started once and reused by every connection.  A
+#: connection beyond the cap waits in the accept queue for a free
+#: thread; it is not refused.  Twice ``BATCH_FANOUT`` and far above the
+#: two clients of the ``serve_hit`` harness, so no in-tree load queues;
+#: it bounds the threads (stacks, GIL hand-offs) a flood of clients can
+#: make the server hold.
+HANDLER_THREADS = 32
+#: seconds a connection may sit silent, between requests or inside
+#: one, before the server closes it: an idle keep-alive client must not
+#: hold one of the ``HANDLER_THREADS`` for long.  Apache's and Node's
+#: default, far above the gap between a client's keep-alive requests.
+IDLE_TIMEOUT_S = 5.0
+#: header lines one request may carry; clients send 4 to 15
+MAX_HEADER_LINES = 64
+#: bytes of one request head, request line included (Node's limit); it
+#: admits a 5 000-character ``X-Request-Id``
+MAX_HEAD_BYTES = 16 * 1024
+#: the headers the API reads; every other header line is checked for
+#: form and dropped
+_KEPT_HEADERS = frozenset({"content-length", "content-type",
+                           "x-request-id", "connection", "expect"})
+#: what a kept header value may not hold: control characters but HTAB
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 #: endpoint label values are bounded to the known routes — anything
 #: else (scanners, typos) collapses into "other" so label cardinality
@@ -140,6 +172,9 @@ class ScoutServer:
                  metrics: bool = True,
                  access_log: bool = False,
                  trace_dir: Optional[str] = None):
+        # every request without its own deadline takes this one: a bad
+        # value is the operator's error, refused before the pool forks
+        check_deadline(deadline)
         self.trace_dir = trace_dir
         if metrics:
             # arm BEFORE forking the pool so workers inherit the flag
@@ -169,8 +204,9 @@ class ScoutServer:
         self.requests = 0
         self.l3_front_hits = 0
         self.coalesced = 0
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.scout = self
+        self._serving = False
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle -------------------------------------------------------
@@ -185,6 +221,7 @@ class ScoutServer:
 
     def start(self) -> "ScoutServer":
         """Serve in a background thread (tests, embedding)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="gpuscout-serve",
             daemon=True,
@@ -196,10 +233,14 @@ class ScoutServer:
         return self
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        # ``shutdown`` waits for a serve loop to end: one that never
+        # began would never end
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -486,8 +527,48 @@ class ScoutServer:
         return out
 
 
+class _HTTPServer(HTTPServer):
+    """An ``HTTPServer`` whose accepted connections wait in one queue
+    for ``HANDLER_THREADS`` reused daemon threads, instead of starting
+    a thread per connection (~180 µs of a reconnecting hit)."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        #: ``(second, Date header)``: formatted at most once a second
+        self.date = (0, "")
+        self._accepted: queue.SimpleQueue = queue.SimpleQueue()
+        for i in range(HANDLER_THREADS):
+            threading.Thread(target=self._serve_connections,
+                             name=f"gpuscout-http-{i}", daemon=True).start()
+
+    def process_request(self, request, client_address):
+        self._accepted.put((request, client_address))
+
+    def _serve_connections(self) -> None:
+        while (accepted := self._accepted.get()) is not None:
+            request, client_address = accepted
+            try:
+                self.finish_request(request, client_address)
+            except (ConnectionError, TimeoutError):
+                pass  # the client left or stopped reading: not our fault
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        for _ in range(HANDLER_THREADS):
+            self._accepted.put(None)
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs/paths onto the owning :class:`ScoutServer`."""
+    """Routes HTTP verbs/paths onto the owning :class:`ScoutServer`.
+
+    The request head is read here, not by ``http.client`` (whose
+    ``email`` parser cost ~80 µs a request): only ``_KEPT_HEADERS``
+    are kept, in a dict under lower-case names, and every violation is
+    the JSON ``code 64`` envelope of :meth:`send_error`."""
 
     server_version = "gpuscout-serve/1"
     protocol_version = "HTTP/1.1"
@@ -495,6 +576,101 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def scout(self) -> ScoutServer:
         return self.server.scout
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
+    def handle_one_request(self) -> None:
+        self.requestline = ""
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_HEAD_BYTES + 1)
+        except TimeoutError:
+            return  # silent between requests: close quietly
+        if self.raw_requestline and self.parse_request():
+            getattr(self, "do_" + self.command)()
+
+    def parse_request(self) -> bool:
+        """Read the head after ``raw_requestline``; ``False`` once a
+        violation has been answered."""
+        try:
+            self.command, self.path, self.request_version, self.headers = \
+                self._read_head()
+        except ProtocolError as exc:
+            self.send_error(400, str(exc))
+            return False
+        conntype = self.headers.get("connection", "").lower()
+        self.close_connection = conntype == "close" or (
+            self.request_version == "HTTP/1.0" and conntype != "keep-alive")
+        if self.headers.get("expect", "").lower() == "100-continue" and \
+                self.request_version == "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def _read_head(self) -> tuple[str, str, str, dict]:
+        """``(method, target, version, kept headers)``, or a
+        ``ProtocolError`` naming the violation."""
+        lines: list = []
+        size = 0
+        line = self.raw_requestline
+        try:
+            while line not in (b"\r\n", b"\n"):
+                size += len(line)
+                if size > MAX_HEAD_BYTES:
+                    raise ProtocolError(
+                        f"request head over {MAX_HEAD_BYTES} bytes")
+                if not line.endswith(b"\n"):
+                    raise ProtocolError("request head cut short")
+                if len(lines) > MAX_HEADER_LINES:
+                    raise ProtocolError(
+                        f"more than {MAX_HEADER_LINES} header lines")
+                lines.append(line.rstrip(b"\r\n"))
+                line = self.rfile.readline(MAX_HEAD_BYTES - size + 1)
+        except TimeoutError:
+            raise ProtocolError("request head timed out") from None
+        self.requestline = lines[0].decode("latin-1") if lines else ""
+        words = self.requestline.split(" ")
+        if len(words) != 3:
+            raise ProtocolError(f"bad request line {self.requestline!r}")
+        method, target, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise ProtocolError(f"unsupported HTTP version {version!r}")
+        if not hasattr(self, "do_" + method):
+            raise ProtocolError(f"unsupported method {method!r}")
+        headers: dict = {}
+        for raw in lines[1:]:
+            name, colon, value = raw.decode("latin-1").partition(":")
+            # an obs-fold line starts with whitespace, so it lands here
+            if not colon or not name or name != name.strip():
+                raise ProtocolError(f"malformed header line {raw[:64]!r}")
+            name = name.lower()
+            if name in _KEPT_HEADERS:
+                value = value.strip(" \t")
+                # a lone CR would split an echoed X-Request-Id in two
+                if _CONTROL.search(value):
+                    raise ProtocolError(f"control character in {name}")
+                if headers.setdefault(name, value) != value and \
+                        name == "content-length":
+                    raise ProtocolError("conflicting Content-Length headers")
+        return method, target, version, headers
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Every error the edge raises itself is the JSON ``code 64``
+        envelope (not the stdlib's HTML page) and closes the
+        connection."""
+        self.close_connection = True
+        self._send(code, error_envelope(ProtocolError(
+            message or f"HTTP {code}")))
+
+    def date_time_string(self, timestamp=None) -> str:
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        now = int(time.time())
+        if self.server.date[0] != now:
+            self.server.date = (now, super().date_time_string(now))
+        return self.server.date[1]
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib name
         # http.server's own notices (404 paths, bad methods, protocol
@@ -506,7 +682,7 @@ class _Handler(BaseHTTPRequestHandler):
                        client=self.address_string())
 
     def _request_id(self) -> str:
-        return self.headers.get("X-Request-Id") or new_request_id()
+        return self.headers.get("x-request-id") or new_request_id()
 
     def _send(self, status: int, body: dict,
               request_id: Optional[str] = None) -> None:
@@ -528,6 +704,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(blob)))
         if request_id is not None:
             self.send_header("X-Request-Id", request_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         # not end_headers(): it flushes the headers as one segment and
         # the body would follow as a second, which a keep-alive client
         # waits ~40 ms for (Nagle holds it for the delayed ACK)
@@ -536,7 +714,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self):
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.headers.get("content-length") or 0)
         except ValueError:
             length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
@@ -544,7 +722,11 @@ class _Handler(BaseHTTPRequestHandler):
             # connection cannot be parsed for a next request
             self.close_connection = True
             raise ProtocolError("missing or oversized request body")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise ProtocolError("request body timed out") from None
         try:
             return json.loads(raw.decode())
         except Exception:

@@ -48,7 +48,8 @@ from repro.cache import TieredCache
 from repro.core.base import all_analyses
 from repro.core.jsonout import report_to_dict
 from repro.core.request import (AnalyzeRequest, analyze_request,
-                                arch_spec, resolve, static_artifacts)
+                                arch_spec, check_deadline, resolve,
+                                static_artifacts)
 from repro.errors import (Diagnostic, ProtocolError, UnknownKernelError,
                           exit_code_for)
 from repro.gpu.trace_cache import configure_trace_cache, trace_cache
@@ -111,7 +112,7 @@ class KernelRunner:
                  deadline: Optional[float] = None,
                  worker_id: Optional[int] = None,
                  cache_mb: int = 256):
-        self.deadline = deadline
+        self.deadline = check_deadline(deadline)
         self.worker_id = worker_id
         self.static = StaticCache()
         #: staged launch inputs: (spec, size, iters) -> the resolved

@@ -206,6 +206,19 @@ class TestEndpoints:
 
 
 class TestPooledServer:
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -1])
+    def test_bad_default_deadline_is_refused_before_the_fork(
+            self, deadline, monkeypatch):
+        import repro.serve.pool as pool
+        from repro.serve.protocol import ProtocolError
+
+        def forked(*args, **kwargs):
+            raise AssertionError("workers forked")
+
+        monkeypatch.setattr(pool, "WorkerPool", forked)
+        with pytest.raises(ProtocolError, match="deadline"):
+            ScoutServer(workers=2, deadline=deadline)
+
     def test_batch_fans_out_and_second_pass_hits(self, tmp_path):
         with ScoutServer(workers=2, cache_dir=str(tmp_path)).start() \
                 as srv:

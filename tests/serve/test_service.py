@@ -142,6 +142,13 @@ class TestRequestOptions:
         assert repeat["cache"] != "l3"
         assert repeat["report"]["mode"] == "full"
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -1])
+    def test_default_deadline_that_cannot_trip_is_refused(self, deadline):
+        # it would be copied into every request without its own, and
+        # each such request answered 400 for the operator's mistake
+        with pytest.raises(ProtocolError, match="deadline"):
+            KernelRunner(deadline=deadline)
+
     def test_sass_submission_is_static_only(self):
         sass = cli_sass()
         runner = KernelRunner()

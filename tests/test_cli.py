@@ -287,6 +287,42 @@ class TestDeadline:
         assert "deadline hit" in captured.err
         assert "2 kernel(s)" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_validate_rejects_a_deadline_that_cannot_trip(self, value,
+                                                          capsys):
+        # ``SimBudget(max_wall_seconds=nan)`` never trips: the suite
+        # would run unbounded and exit 0 as if no deadline were given
+        rc = main(["validate", "--kernel", "mixbench:sp:naive",
+                   "--size", "64", "--deadline", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "deadline must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_serve_rejects_its_default_deadline_before_listening(
+            self, value, capsys, monkeypatch):
+        # the server-wide default goes into every request without its
+        # own: a bad one is the operator's error, not each client's 400
+        from repro.serve import ScoutServer
+
+        served = []
+
+        def serve_until_interrupted(self):
+            served.append(self)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ScoutServer, "serve_forever",
+                            serve_until_interrupted)
+        monkeypatch.setattr(ScoutServer, "stop",
+                            lambda self: self._httpd.server_close())
+        monkeypatch.setattr("signal.signal", lambda *args: None)
+        rc = main(["serve", "--port", "0", "--deadline", value])
+        captured = capsys.readouterr()
+        assert rc == 2 and served == []
+        assert "deadline must be finite" in captured.err
+        assert "listening on" not in captured.err
+
     def test_validate_generous_deadline_validates_everything(self, capsys):
         rc = main(["validate", "--kernel", "mixbench:sp:naive",
                    "--size", "64", "--deadline", "600"])

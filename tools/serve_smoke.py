@@ -6,9 +6,12 @@ body must be in canonical form (``dumps(loads(body), sort_keys=True)
 == body``) and each report equal to the cold one after
 ``strip_volatile``.  One
 request with a malformed ``Content-Length`` must come back as a 400,
-and a 200-request keep-alive loop over one L3 hit prints its rate
-(ungated — a regression of the one-write response would read as
-~23/s instead of thousands).
+and one whose head is over ``MAX_HEAD_BYTES`` as the JSON 400
+``code 64`` envelope.  Two 200-request loops over one L3 hit print
+their rates, ungated: on one keep-alive connection (a regression of
+the one-write response would read as ~23/s instead of thousands) and
+on a fresh connection per request (what the ``serve_hit`` harness
+sends; it pays the server's per-connection cost).
 
 ``GET /metrics`` is scraped after each pass: the exposition must parse
 (structural validator, same one ``tools/validate_metrics.py`` wraps),
@@ -23,8 +26,8 @@ A second, inline server is then sent two sizes of one variant:
 
 Exits non-zero on any protocol error, batch failure, cache miss on the
 second pass, served/recomputed report divergence, non-canonical body,
-unanswered malformed request, telemetry gap, or a program compiled
-more than once.
+unanswered malformed request, HTML or missing answer to an oversized
+head, telemetry gap, or a program compiled more than once.
 
 Usage::
 
@@ -37,6 +40,7 @@ import http.client
 import json
 import pathlib
 import shutil
+import socket
 import sys
 import tempfile
 import time
@@ -49,6 +53,7 @@ from repro.kernels.catalog import CATALOG  # noqa: E402
 from repro.obs.metrics import validate_exposition  # noqa: E402
 from repro.serve import ScoutServer  # noqa: E402
 from repro.serve.protocol import strip_volatile  # noqa: E402
+from repro.serve.server import MAX_HEAD_BYTES  # noqa: E402
 
 BATCH = {"requests": [
     {"kernel": "sgemm:naive", "size": 48},
@@ -73,8 +78,8 @@ REQUIRED_FAMILIES = (
 CACHE_TIERS = ("resolve", "l1", "l2", "l3", "memo")
 
 
-#: requests of the keep-alive loop
-KEEPALIVE_HITS = 200
+#: requests of each hit-rate loop
+RATE_HITS = 200
 
 
 def _post_raw(url: str, path: str, body: dict) -> bytes:
@@ -103,16 +108,50 @@ def _malformed_length_status(srv) -> int:
         conn.close()
 
 
+def _oversized_head_reply(srv) -> tuple:
+    """``(status, body)`` of a request whose head is over the server's
+    limit (``(0, b"")`` when it drops the connection unanswered)."""
+    raw = b""
+    try:
+        with socket.create_connection(srv.address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: "
+                         + b"a" * MAX_HEAD_BYTES + b"\r\n\r\n")
+            while chunk := sock.recv(65536):
+                raw += chunk
+    except OSError:
+        pass
+    head, _, body = raw.partition(b"\r\n\r\n")
+    try:
+        return int(head.split(b" ")[1]), body
+    except (IndexError, ValueError):
+        return 0, b""
+
+
+def _reconnecting_hits_per_s(srv, payload: dict) -> float:
+    """L3 hits per second, one fresh connection each (as ``curl`` or
+    the ``serve_hit`` harness make them)."""
+    body = json.dumps(payload).encode()
+    t0 = time.perf_counter()
+    for _ in range(RATE_HITS):
+        conn = http.client.HTTPConnection(*srv.address, timeout=30)
+        try:
+            conn.request("POST", "/v1/analyze", body=body)
+            conn.getresponse().read()
+        finally:
+            conn.close()
+    return RATE_HITS / (time.perf_counter() - t0)
+
+
 def _keepalive_hits_per_s(srv, payload: dict) -> float:
     """L3 hits per second over one persistent connection."""
     body = json.dumps(payload).encode()
     conn = http.client.HTTPConnection(*srv.address, timeout=30)
     try:
         t0 = time.perf_counter()
-        for _ in range(KEEPALIVE_HITS):
+        for _ in range(RATE_HITS):
             conn.request("POST", "/v1/analyze", body=body)
             conn.getresponse().read()
-        return KEEPALIVE_HITS / (time.perf_counter() - t0)
+        return RATE_HITS / (time.perf_counter() - t0)
     finally:
         conn.close()
 
@@ -193,9 +232,21 @@ def main() -> int:
                 failures.append(
                     f"malformed Content-Length answered {status or 'nothing'}"
                     ", want 400")
+            status, body = _oversized_head_reply(srv)
+            try:
+                env = json.loads(body)
+            except ValueError:
+                env = None
+            if status != 400 or not isinstance(env, dict) or \
+                    env.get("code") != 64:
+                failures.append(
+                    f"oversized request head answered {status or 'nothing'}"
+                    f" {body[:80]!r}, want the JSON 400 code 64 envelope")
             hits_per_s = _keepalive_hits_per_s(srv, BATCH["requests"][0])
-            print(f"keep-alive L3 hits: {hits_per_s:.0f}/s over "
-                  f"{KEEPALIVE_HITS} requests on one connection")
+            fresh_per_s = _reconnecting_hits_per_s(srv, BATCH["requests"][0])
+            print(f"L3 hits: {hits_per_s:.0f}/s keep-alive, "
+                  f"{fresh_per_s:.0f}/s reconnecting, "
+                  f"{RATE_HITS} requests each")
 
             scrape2 = _scrape(srv.url)
             for p in validate_exposition(scrape2):
