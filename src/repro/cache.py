@@ -29,7 +29,7 @@ from typing import Callable, Optional
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.testing.faultinject import fail_point
 
-__all__ = ["FileStore", "TieredCache"]
+__all__ = ["FileStore", "StaticCache", "TieredCache"]
 
 _MB = 1024 * 1024
 
@@ -351,3 +351,18 @@ class TieredCache:
             out["disk_hits"] = self.disk_hits
             out["store"] = store.stats()
         return out
+
+
+class StaticCache(TieredCache):
+    """Entry-capped LRU of :class:`~repro.core.engine.StaticArtifacts`,
+    in memory only (they hold live ``Program``/CFG objects).  Two owners
+    hold one: each :class:`~repro.core.engine.GPUscout`, for its own
+    earlier runs, and each :class:`~repro.serve.service.KernelRunner`
+    (serve L1).  Neither stores artifacts that carry an error-severity
+    diagnostic (:attr:`~repro.core.engine.StaticArtifacts.reusable`)."""
+
+    def __init__(self, capacity: int = 128):
+        super().__init__("l1", capacity)
+
+    def get(self, key):
+        return super().get(key)[0]

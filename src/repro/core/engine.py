@@ -164,6 +164,14 @@ class StaticArtifacts:
             same = False
         return same and self.ctx.config == config
 
+    @property
+    def reusable(self) -> bool:
+        """Whether a cache may keep these artifacts: no stage of them
+        failed.  An error-severity diagnostic (a dead analysis, a failed
+        parse) may be transient, and a cached copy would replay it on
+        every later run of the program."""
+        return not any(d.severity == "error" for d in self.diagnostics)
+
 
 @dataclass
 class ScoutReport:
@@ -244,6 +252,10 @@ class GPUscout:
     ):
         self.analyses = list(analyses) if analyses is not None else default_analyses()
         self.spec = spec or GPUSpec.v100()
+        #: this scout's earlier static artifacts per compiled program and
+        #: geometry (a :class:`~repro.cache.StaticCache`), made on the
+        #: first store
+        self._statics = None
         if sampler is not None:
             self.sampler = sampler
         if ncu is not None:
@@ -294,7 +306,10 @@ class GPUscout:
         they match the kernel and launch geometry, stages 1–2 are
         skipped and their products reused — the serving layer's L1
         cache path.  Mismatched artifacts are ignored and everything
-        is recomputed.
+        is recomputed.  Without usable ``static``, a compiled kernel
+        reuses this scout's own earlier artifacts for the same SASS,
+        pointer layout and geometry the same way (raw SASS and a
+        :class:`Program` are always recomputed).
 
         Stage failures do not abort the run: they are recorded as
         :class:`~repro.errors.Diagnostic` entries on the returned
@@ -316,20 +331,34 @@ class GPUscout:
         note = self._make_note(prof, diags, crashed, config, args)
 
         # -- stages 1+2: parse + static instrumentation ------------------
-        if static is not None and static.matches(kernel, config):
-            # L1 reuse: the static passes are pure functions of the
+        key = None
+        if static is None or not static.matches(kernel, config):
+            key = self._static_key(kernel, config)
+            static = self._statics.get(key) \
+                if key is not None and self._statics is not None else None
+        if static is not None:
+            # reuse: the static passes are pure functions of the
             # program + geometry; replay their products instead of
             # recomputing.  Findings and diagnostics are deep-copied —
             # the dynamic stages mutate them per run.
             with prof.span("static:cached"):
                 art = static
-                findings = [copy.deepcopy(f) for f in art.findings]
-                diags.extend(copy.deepcopy(d) for d in art.diagnostics)
+                findings = self._replay_static(art, diags, note)
             sass_seconds = art.sass_seconds
         else:
             art = self._run_static(kernel, config, prof, diags, note)
             findings = art.findings
             sass_seconds = art.sass_seconds
+            # a dry run starts no memo: its cache module comes with the
+            # launch stack, which a dry run never loads (paper §3.1)
+            if key is not None and art.reusable and (
+                    self._statics is not None or not dry_run):
+                if self._statics is None:
+                    from repro.cache import StaticCache
+
+                    self._statics = StaticCache()
+                self._statics.put(key, art)
+                findings = [copy.deepcopy(f) for f in findings]
         program, ctx = art.program, art.ctx
         # the launch runs the kernel it was handed, which on an L1 hit
         # may be another object than the one the artifacts came from
@@ -535,6 +564,38 @@ class GPUscout:
         return note
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _static_key(kernel, config) -> Optional[tuple]:
+        """The memo key of a compiled kernel under ``config``: what
+        :meth:`StaticArtifacts.matches` compares (the scout fixes the
+        analysis set).  ``None`` for raw SASS and a :class:`Program`,
+        which are never memoised: a parse fault must reach the parser."""
+        sha = None if isinstance(kernel, (str, Program)) else \
+            getattr(kernel, "sass_sha256", None)
+        if sha is None:
+            return None
+        from repro.sass.affine import pointer_param_offsets
+
+        return sha, pointer_param_offsets(kernel), config
+
+    def _replay_static(self, art: StaticArtifacts, diags,
+                       note) -> list[Finding]:
+        """This run's copy of ``art``'s findings, with its diagnostics
+        on ``diags``.  ``engine.analysis`` fires once per analysis, as
+        in a fresh run, and an analysis it kills loses its findings."""
+        diags.extend(copy.deepcopy(d) for d in art.diagnostics)
+        dead = set()
+        for analysis in self.analyses:
+            try:
+                fail_point("engine.analysis")
+            except Exception as exc:
+                d = note("static", "engine.analysis", exc,
+                         severity="error", program=art.program)
+                d.detail["analysis"] = analysis.name
+                dead.add(analysis.name)
+        return [copy.deepcopy(f) for f in art.findings
+                if f.analysis not in dead]
+
     def _run_static(self, kernel, config, prof, diags,
                     note) -> StaticArtifacts:
         """Stages 1–2: parse and static instrumentation (the pure

@@ -3,7 +3,9 @@
 Both are :class:`~repro.cache.TieredCache` instances under the names
 and signatures the service and the harness drive them by.
 
-* **L1 — static artifacts** (:class:`StaticCache`): per (SASS hash,
+* **L1 — static artifacts** (:class:`StaticCache`, defined in
+  :mod:`repro.cache` beside the memo every ``GPUscout`` keeps of the
+  same artifacts, and re-exported here): per (SASS hash,
   geometry, analysis set), the parsed program, CFG/affine context and
   pristine findings from :meth:`~repro.core.engine.GPUscout.analyze_static`.
   In-memory only (the artifacts hold live ``Program``/CFG objects) and
@@ -23,21 +25,11 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.cache import FileStore, TieredCache
+from repro.cache import FileStore, StaticCache, TieredCache
 
 __all__ = ["ReportCache", "StaticCache", "report_text"]
 
 _MB = 1024 * 1024
-
-
-class StaticCache(TieredCache):
-    """Entry-capped LRU of :class:`~repro.core.engine.StaticArtifacts`."""
-
-    def __init__(self, capacity: int = 128):
-        super().__init__("l1", capacity)
-
-    def get(self, key: str):
-        return super().get(key)[0]
 
 
 def report_text(report: dict) -> str:

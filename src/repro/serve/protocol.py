@@ -114,18 +114,27 @@ def _arch_json(spec: GPUSpec) -> str:
     return _dumps(_arch_term(spec))
 
 
-def _report_address(payload: dict, spec: GPUSpec) -> str:
+@functools.lru_cache(maxsize=16)
+def _factory_arch_json(factory) -> str:
+    """:func:`_arch_json` of the spec an :data:`ARCHS` factory builds,
+    per factory object: a repeated request builds no spec, and an
+    entry rebound to another factory misses."""
+    return _arch_json(factory())
+
+
+def _report_address(payload: dict, arch_json: str) -> str:
     """Digest of ``payload`` plus the two terms every report address
-    carries: the complete arch config and the report schema version —
-    bumping the schema invalidates every cached report at once.  The
-    preimage is ``_dumps({**payload, "arch": ..., "schema": ...})``
-    with the ~60-field arch term spliced in from its per-spec dump."""
+    carries: the complete arch config (``arch_json``, its
+    :func:`_arch_json` dump) and the report schema version — bumping
+    the schema invalidates every cached report at once.  The preimage
+    is ``_dumps({**payload, "arch": ..., "schema": ...})`` with the
+    ~60-field arch term spliced in."""
     from repro.core.jsonout import SCHEMA_VERSION
 
     assert all(key > "arch" for key in payload), \
         "the arch term is spliced in as the first key"
     rest = _dumps(dict(payload, schema=SCHEMA_VERSION))
-    blob = f'{{"arch":{_arch_json(spec)},{rest[1:]}'
+    blob = f'{{"arch":{arch_json},{rest[1:]}'
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -152,14 +161,17 @@ def content_address(kernel, config, params: Optional[dict],
         "sass": _sass_digest(kernel),
         "launch": launch_fingerprint(config, params),
         "extras": _canon(extras or {}),
-    }, spec)
+    }, _arch_json(spec))
 
 
 def request_key(req: AnalyzeRequest) -> str:
     """Fingerprint of the submission as written: the proxy key the
     server's address memo maps onto real content addresses, so repeats
     are answered from L3 without resolving (= compiling) the kernel."""
-    return _report_address({"req": req.to_dict()}, arch_spec(req.arch))
+    if req.arch not in ARCHS:
+        arch_spec(req.arch)  # the ProtocolError naming the known archs
+    return _report_address({"req": req.to_dict()},
+                           _factory_arch_json(ARCHS[req.arch]))
 
 
 def static_key(kernel, config, extended: bool) -> str:

@@ -51,6 +51,7 @@ import json
 import queue
 import re
 import secrets
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -537,6 +538,9 @@ class _HTTPServer(HTTPServer):
         #: ``(second, Date header)``: formatted at most once a second
         self.date = (0, "")
         self._accepted: queue.SimpleQueue = queue.SimpleQueue()
+        #: connections a handler thread holds; ``None`` once closed
+        self._held: Optional[set] = set()
+        self._held_lock = threading.Lock()
         for i in range(HANDLER_THREADS):
             threading.Thread(target=self._serve_connections,
                              name=f"gpuscout-http-{i}", daemon=True).start()
@@ -547,17 +551,37 @@ class _HTTPServer(HTTPServer):
     def _serve_connections(self) -> None:
         while (accepted := self._accepted.get()) is not None:
             request, client_address = accepted
+            with self._held_lock:
+                closed = self._held is None
+                if not closed:
+                    self._held.add(request)
             try:
-                self.finish_request(request, client_address)
+                if not closed:
+                    self.finish_request(request, client_address)
             except (ConnectionError, TimeoutError):
                 pass  # the client left or stopped reading: not our fault
             except Exception:
                 self.handle_error(request, client_address)
             finally:
+                with self._held_lock:
+                    if self._held is not None:
+                        self._held.discard(request)
                 self.shutdown_request(request)
 
     def server_close(self):
+        """Close the listener, end the reads of every held connection
+        (an idle keep-alive one would park its thread for up to
+        ``IDLE_TIMEOUT_S``) and stop the handler threads."""
         super().server_close()
+        with self._held_lock:
+            held, self._held = self._held or set(), None
+        for request in held:
+            try:
+                # EOF for a parked read; a response being written
+                # still goes out
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
         for _ in range(HANDLER_THREADS):
             self._accepted.put(None)
 

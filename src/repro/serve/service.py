@@ -198,7 +198,10 @@ class KernelRunner:
         with self._lock:
             if art is None:
                 art = static_artifacts(req, resolved)
-                self.static.put(skey, art)
+                # a failed stage may be transient: keep it out of L1,
+                # as ``cacheable`` keeps the degraded report out of L3
+                if art.reusable:
+                    self.static.put(skey, art)
             report = analyze_request(req, resolved=resolved, static=art)
         if cache_tier == "l1":
             self.l1_hits += 1

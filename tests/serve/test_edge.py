@@ -275,3 +275,23 @@ def test_stop_returns_for_a_server_that_never_served():
     stopping.start()
     stopping.join(timeout=10)
     assert not stopping.is_alive(), "stop() waited for a serve loop"
+
+
+def test_stop_ends_handler_threads_parked_on_idle_connections(monkeypatch):
+    # an idle timeout far beyond the test: only stop() can free them
+    monkeypatch.setattr(edge, "IDLE_TIMEOUT_S", 60.0)
+    before = set(threading.enumerate())
+    srv = ScoutServer(workers=0).start()
+    handlers = [t for t in set(threading.enumerate()) - before
+                if t.name.startswith("gpuscout-http-")]
+    assert len(handlers) == edge.HANDLER_THREADS
+    sock = socket.create_connection(srv.address, timeout=30)
+    try:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        assert read_response(sock)[0] == 200
+        srv.stop()
+        time.sleep(1.0)
+        assert [t.name for t in handlers if t.is_alive()] == []
+        assert read_all(sock) == b"", "closed without another answer"
+    finally:
+        sock.close()

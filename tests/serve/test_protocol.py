@@ -199,6 +199,26 @@ class TestArchTermIsComputedOncePerSpec:
             == first
         assert walked == ["GPUSpec"]
 
+    def test_a_repeated_request_key_builds_no_spec(self, monkeypatch):
+        req = AnalyzeRequest(kernel="sgemm:naive", arch="small4")
+        first = request_key(req)
+        built = []
+        real = GPUSpec.__init__
+        monkeypatch.setattr(
+            GPUSpec, "__init__",
+            lambda self, *a, **kw: (built.append(1),
+                                    real(self, *a, **kw))[1])
+        assert request_key(req) == first
+        assert request_key(AnalyzeRequest(kernel="heat:naive",
+                                          arch="small4")) != first
+        assert built == []
+        # the memo is keyed by the factory: a rebound entry misses
+        from repro.serve.protocol import ARCHS
+
+        monkeypatch.setitem(ARCHS, "small4", lambda: GPUSpec.small(2))
+        assert request_key(req) != first
+        assert built == [1]
+
     def test_every_field_still_changes_the_fingerprint(self):
         base = spec_fingerprint(SPEC)
         for field in dataclasses.fields(GPUSpec):

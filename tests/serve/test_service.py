@@ -142,6 +142,25 @@ class TestRequestOptions:
         assert repeat["cache"] != "l3"
         assert repeat["report"]["mode"] == "full"
 
+    def test_a_failed_static_stage_is_not_kept_in_l1(self):
+        """A transient detector fault degrades its own reply only: the
+        next request for the program recomputes the static stages."""
+        from repro.testing.faultinject import fail_at
+
+        runner = KernelRunner()
+        payload = {"kernel": "heat:naive", "size": 96}
+        with fail_at("engine.analysis", AnalysisError):
+            hurt = runner.run(payload)
+        severities = [d["severity"]
+                      for d in hurt["report"].get("diagnostics", [])]
+        assert severities == ["error"]
+        assert not hurt["cacheable"]
+        healed = runner.run(payload)
+        assert healed["cache"] == "cold"
+        assert healed["report"].get("diagnostics", []) == []
+        assert healed["cacheable"]
+        assert runner.stats()["static"]["entries"] == 1
+
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -1])
     def test_default_deadline_that_cannot_trip_is_refused(self, deadline):
         # it would be copied into every request without its own, and

@@ -165,6 +165,24 @@ class TestChaosDetails:
             if f.analysis not in dead
         }
 
+    def test_dead_analysis_on_a_reused_program(self, saxpy_ck):
+        """The scout's second full analysis reuses the first one's
+        static artifacts; the analysis fault still fires there, once,
+        and costs exactly the findings it costs a fresh run."""
+        scout = GPUscout(spec=GPUSpec.small(1))
+        healthy = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
+        with fail_at("engine.analysis", AnalysisError) as fp:
+            report = scout.analyze(saxpy_ck, CONFIG, saxpy_args())
+        assert "static:cached" in {s.name for s in report.profile.spans}
+        assert fp.triggered == 1
+        dead = {d.detail.get("analysis") for d in report.diagnostics}
+        assert len(dead) == 1
+        survivors = {f.analysis for f in report.findings}
+        assert survivors == {
+            f.analysis for f in healthy.findings
+            if f.analysis not in dead
+        }
+
     def test_persistent_failure_exhausts_the_ladder(self, saxpy_ck):
         # times=None: the component is broken on *every* rung
         scout = GPUscout(spec=GPUSpec.small(1))
